@@ -7,11 +7,15 @@
 
 #include <atomic>
 #include <memory>
+#include <vector>
 
 #include "actor/actor_system.h"
 #include "ais/codec.h"
 #include "ais/preprocess.h"
+#include "events/collision.h"
 #include "events/proximity.h"
+#include "events/switch_off.h"
+#include "geo/geodesy.h"
 #include "hexgrid/hexgrid.h"
 #include "kvstore/kvstore.h"
 #include "obs/metrics.h"
@@ -157,10 +161,14 @@ void BM_ActorTellThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ActorTellThroughput);
 
+// Steady state: 500 vessels in a ~10 km square report once a second of
+// stream time, and the detector prunes every 64 reports as CellActor does,
+// so stored history and pair cooldowns stay bounded.
 void BM_ProximityObserve(benchmark::State& state) {
   ProximityDetector detector;
   Rng rng(3);
   TimeMicros t = 0;
+  int since_prune = 0;
   for (auto _ : state) {
     AisPosition report;
     report.mmsi = static_cast<Mmsi>(rng.UniformInt(uint64_t{500}));
@@ -168,9 +176,85 @@ void BM_ProximityObserve(benchmark::State& state) {
     report.position = LatLng{38.0 + rng.Uniform(-0.05, 0.05),
                              24.0 + rng.Uniform(-0.05, 0.05)};
     benchmark::DoNotOptimize(detector.Observe(report));
+    if (++since_prune >= 64) {
+      since_prune = 0;
+      detector.Prune(t);
+    }
   }
 }
 BENCHMARK(BM_ProximityObserve);
+
+// Steady state: a fixed fleet of 2000 forecast trajectories in a 1-degree
+// square, each re-observed once a minute of stream time (shifted to the new
+// anchor time), with a Prune every 64 observations as CollisionActor does.
+void BM_CollisionObserve(benchmark::State& state) {
+  constexpr int kFleet = 2000;
+  Rng rng(5);
+  std::vector<ForecastTrajectory> fleet;
+  for (int v = 0; v < kFleet; ++v) {
+    ForecastTrajectory trajectory;
+    trajectory.mmsi = static_cast<Mmsi>(v + 1);
+    LatLng position{rng.Uniform(37.5, 38.5), rng.Uniform(23.5, 24.5)};
+    const double cog = rng.Uniform(0.0, 360.0);
+    const double step_m = rng.Uniform(2.0, 15.0) * kKnotsToMps * 300.0;
+    for (int i = 0; i <= kSvrfOutputSteps; ++i) {
+      trajectory.points.push_back(
+          ForecastPoint{position, static_cast<TimeMicros>(i) * kSvrfStepMicros});
+      position = DestinationPoint(position, cog, step_m);
+    }
+    fleet.push_back(std::move(trajectory));
+  }
+  CollisionForecaster forecaster;
+  const TimeMicros spacing = kMicrosPerMinute / kFleet;
+  TimeMicros t = 0;
+  size_t next = 0;
+  int since_prune = 0;
+  ForecastTrajectory observed;
+  for (auto _ : state) {
+    observed = fleet[next];
+    for (ForecastPoint& point : observed.points) point.time += t;
+    benchmark::DoNotOptimize(forecaster.Observe(observed));
+    if (++since_prune >= 64) {
+      since_prune = 0;
+      forecaster.Prune(t);
+    }
+    next = (next + 1) % fleet.size();
+    t += spacing;
+  }
+}
+BENCHMARK(BM_CollisionObserve);
+
+// Surveillance-actor pattern: every tracked vessel reports every 10 s of
+// stream time, and Check runs once per 256 reports. The 30-minute silence
+// threshold is never reached, so the bound skips every scan.
+void BM_SwitchOffCheck(benchmark::State& state) {
+  const int vessels = static_cast<int>(state.range(0));
+  SwitchOffDetector detector;
+  const TimeMicros spacing = 10 * kMicrosPerSecond / vessels;
+  TimeMicros t = 0;
+  AisPosition report;
+  report.position = LatLng{38.0, 24.0};
+  for (int round = 0; round < 6; ++round) {
+    for (int v = 0; v < vessels; ++v) {
+      report.mmsi = static_cast<Mmsi>(v + 1);
+      report.timestamp = t += spacing;
+      detector.Observe(report);
+    }
+  }
+  int next = 0;
+  int since_check = 0;
+  for (auto _ : state) {
+    report.mmsi = static_cast<Mmsi>(next + 1);
+    report.timestamp = t += spacing;
+    detector.Observe(report);
+    if (++since_check >= 256) {
+      since_check = 0;
+      benchmark::DoNotOptimize(detector.Check(t));
+    }
+    next = (next + 1) % vessels;
+  }
+}
+BENCHMARK(BM_SwitchOffCheck)->Arg(1000)->Arg(30000);
 
 SvrfInput MakeInput() {
   SvrfInput input;

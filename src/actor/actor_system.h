@@ -114,6 +114,10 @@ class ActorSystem {
   /// (Messages sent by timers that have not fired yet are not waited for.)
   void AwaitQuiescence();
 
+  /// True when no message is queued or being processed right now (the
+  /// non-blocking check behind AwaitQuiescence).
+  bool Idle() const { return pending_.load(std::memory_order_acquire) == 0; }
+
   /// Drains and joins everything. Idempotent; called by the destructor.
   void Shutdown();
 

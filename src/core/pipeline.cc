@@ -1,9 +1,8 @@
 #include "core/pipeline.h"
 
-#include <thread>
-
 #include "ais/codec.h"
 #include "core/actors.h"
+#include "core/quiescence.h"
 #include "util/logging.h"
 #include "vrf/inference_batcher.h"
 
@@ -156,19 +155,7 @@ int MaritimePipeline::PumpIngestion(int max_records) {
 
 void MaritimePipeline::AwaitQuiescence() {
   if (system_ == nullptr) return;
-  // Actors and the batcher feed each other: draining the mailboxes can
-  // enqueue forecast requests, and flushing those requests Tells results
-  // back into the mailboxes. Alternate until both are quiet. Once the
-  // system is quiescent no actor can submit, so a batcher that is also
-  // quiescent ends the loop.
-  for (;;) {
-    system_->AwaitQuiescence();
-    if (batcher_ == nullptr) return;
-    if (batcher_->Flush() == 0 && batcher_->Quiescent()) return;
-    // A concurrent flusher (ticker or submitting thread) still owns a
-    // batch; let it finish delivering before re-checking.
-    std::this_thread::yield();
-  }
+  AwaitActorsAndBatcher(system_.get(), batcher_.get());
 }
 
 StatusOr<ForecastTrajectory> MaritimePipeline::LatestForecast(Mmsi mmsi) {

@@ -186,7 +186,8 @@ class MaritimePipeline {
   /// ingested. Call repeatedly (or from a pump thread) to drain.
   int PumpIngestion(int max_records = 1024);
 
-  /// Blocks until all in-flight actor messages are processed.
+  /// Blocks until all in-flight actor messages are processed and every
+  /// forecast request has been answered (see AwaitActorsAndBatcher).
   void AwaitQuiescence();
 
   // -- Queries -----------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "events/collision.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "geo/geodesy.h"
 
@@ -57,45 +58,166 @@ LatLng SampleTrajectory(const ForecastTrajectory& trajectory, TimeMicros t) {
 
 constexpr TimeMicros kIntersectSampleStep = 30 * kMicrosPerSecond;
 
-}  // namespace
+// Slack for pruning decisions. A bound computed in floating point may sit a
+// few ulps off the exact bound, and an interpolated position a few ulps
+// outside its bounding box, so a prune only fires when the bound clears the
+// limit by a relative 1e-9 plus 1 um: rounding can never flip a decision.
+constexpr double kPruneRelativeSlack = 1e-9;
+constexpr double kPruneAbsoluteSlackMeters = 1e-6;
 
-double MinTrajectoryDistance(const ForecastTrajectory& a,
-                             const ForecastTrajectory& b,
-                             TimeMicros temporal_tolerance,
-                             TimeMicros* meet_time, LatLng* meet_point) {
-  double best = 1e18;
-  if (a.points.empty() || b.points.empty()) return best;
-  const TimeMicros start =
-      std::max(a.points.front().time, b.points.front().time) -
-      temporal_tolerance;
-  const TimeMicros end = std::min(a.points.back().time, b.points.back().time) +
-                         temporal_tolerance;
-  for (TimeMicros ta = start; ta <= end; ta += kIntersectSampleStep) {
-    if (ta < a.points.front().time || ta > a.points.back().time) continue;
+/// True when a lower bound on a distance proves it exceeds `limit`.
+bool ProvablyAbove(double lower_bound, double limit) {
+  return lower_bound > limit + kPruneRelativeSlack * std::abs(limit) +
+                           kPruneAbsoluteSlackMeters;
+}
+
+struct Approach {
+  bool found = false;
+  double distance = 0.0;
+  TimeMicros meet_time = 0;
+  LatLng meet_point;
+};
+
+/// Fills `grid[0..count)` with `trajectory` sampled at `origin + k * step`,
+/// extending the samples already there (each is computed once).
+void ExtendGrid(const ForecastTrajectory& trajectory, TimeMicros origin,
+                size_t count, std::vector<LatLng>* grid) {
+  for (size_t k = grid->size(); k < count; ++k) {
+    grid->push_back(SampleTrajectory(
+        trajectory, origin + static_cast<TimeMicros>(k) * kIntersectSampleStep));
+  }
+}
+
+/// The sampling loop behind Intersects and MinTrajectoryDistance. For each
+/// 30 s sample time `ta` of `a` inside both spans (widened by `tolerance`),
+/// compares `a(ta)` with `b(tb)` for `tb` from max(ta - tolerance, b.front)
+/// to min(ta + tolerance, b.back) in 30 s steps. The running best starts at
+/// `limit`; a pair replaces it when closer, or equally close with
+/// `later_ties_win`.
+///
+/// Same result as sampling `b` afresh for every `ta`, with less work:
+///  - `tb` lies on one of two grids. While ta - tolerance >= b.front it is
+///    start - tolerance + k * step (k = ta's index + j); before that it is
+///    b.front + j * step. Each grid point is sampled once per call.
+///  - ApproxDistanceMeters >= R * |dlat|, so a pair whose latitude gap alone
+///    provably exceeds the best cannot replace it and skips the distance.
+Approach ClosestApproach(const ForecastTrajectory& a,
+                         const ForecastTrajectory& b, TimeMicros tolerance,
+                         double limit, bool later_ties_win) {
+  Approach best;
+  best.distance = limit;
+  const TimeMicros a_front = a.points.front().time;
+  const TimeMicros a_back = a.points.back().time;
+  const TimeMicros b_front = b.points.front().time;
+  const TimeMicros b_back = b.points.back().time;
+  const TimeMicros start = std::max(a_front, b_front) - tolerance;
+  const TimeMicros end = std::min(a_back, b_back) + tolerance;
+  std::vector<LatLng> shifted;   // start - tolerance + (shifted_base + k) * step
+  std::vector<LatLng> anchored;  // b_front + j * step
+  size_t shifted_base = 0;
+  size_t index = 0;
+  for (TimeMicros ta = start; ta <= end; ta += kIntersectSampleStep, ++index) {
+    if (ta < a_front || ta > a_back) continue;
+    const TimeMicros tb_max = std::min(ta + tolerance, b_back);
+    const bool on_shifted = ta - tolerance >= b_front;
+    const TimeMicros tb_min = on_shifted ? ta - tolerance : b_front;
+    if (tb_min > tb_max) continue;
+    const size_t count =
+        static_cast<size_t>((tb_max - tb_min) / kIntersectSampleStep) + 1;
+    const LatLng* pb;
+    if (on_shifted) {
+      if (shifted.empty()) shifted_base = index;
+      const size_t offset = index - shifted_base;
+      ExtendGrid(b,
+                 start - tolerance +
+                     static_cast<TimeMicros>(shifted_base) * kIntersectSampleStep,
+                 offset + count, &shifted);
+      pb = shifted.data() + offset;
+    } else {
+      ExtendGrid(b, b_front, count, &anchored);
+      pb = anchored.data();
+    }
     const LatLng pa = SampleTrajectory(a, ta);
-    const TimeMicros tb_min =
-        std::max(ta - temporal_tolerance, b.points.front().time);
-    const TimeMicros tb_max =
-        std::min(ta + temporal_tolerance, b.points.back().time);
-    for (TimeMicros tb = tb_min; tb <= tb_max; tb += kIntersectSampleStep) {
-      const LatLng pb = SampleTrajectory(b, tb);
-      const double d = ApproxDistanceMeters(pa, pb);
-      if (d < best) {
-        best = d;
-        if (meet_time != nullptr) *meet_time = ta / 2 + tb / 2;
-        if (meet_point != nullptr) {
-          meet_point->lat_deg = 0.5 * (pa.lat_deg + pb.lat_deg);
-          meet_point->lon_deg = 0.5 * (pa.lon_deg + pb.lon_deg);
-        }
+    for (size_t j = 0; j < count; ++j) {
+      const double lat_gap_m =
+          kEarthRadiusMeters *
+          std::abs((pb[j].lat_deg - pa.lat_deg) * kDegToRad);
+      if (ProvablyAbove(lat_gap_m, best.distance)) continue;
+      const double d = ApproxDistanceMeters(pa, pb[j]);
+      if (d < best.distance || (later_ties_win && d == best.distance)) {
+        const TimeMicros tb =
+            tb_min + static_cast<TimeMicros>(j) * kIntersectSampleStep;
+        best.found = true;
+        best.distance = d;
+        best.meet_time = ta / 2 + tb / 2;
+        best.meet_point.lat_deg = 0.5 * (pa.lat_deg + pb[j].lat_deg);
+        best.meet_point.lon_deg = 0.5 * (pa.lon_deg + pb[j].lon_deg);
       }
     }
   }
   return best;
 }
 
+}  // namespace
+
+double MinTrajectoryDistance(const ForecastTrajectory& a,
+                             const ForecastTrajectory& b,
+                             TimeMicros temporal_tolerance,
+                             TimeMicros* meet_time, LatLng* meet_point) {
+  constexpr double kNoApproach = 1e18;
+  if (a.points.empty() || b.points.empty()) return kNoApproach;
+  const Approach approach = ClosestApproach(
+      a, b, temporal_tolerance, kNoApproach, /*later_ties_win=*/false);
+  if (approach.found) {
+    if (meet_time != nullptr) *meet_time = approach.meet_time;
+    if (meet_point != nullptr) *meet_point = approach.meet_point;
+  }
+  return approach.distance;
+}
+
+CollisionForecaster::Box CollisionForecaster::BoundingBox(
+    const ForecastTrajectory& trajectory) {
+  Box box;
+  const LatLng& first = trajectory.points.front().position;
+  box.lat_lo = box.lat_hi = first.lat_deg;
+  box.lon_lo = box.lon_hi = first.lon_deg;
+  for (const ForecastPoint& point : trajectory.points) {
+    box.lat_lo = std::min(box.lat_lo, point.position.lat_deg);
+    box.lat_hi = std::max(box.lat_hi, point.position.lat_deg);
+    box.lon_lo = std::min(box.lon_lo, point.position.lon_deg);
+    box.lon_hi = std::max(box.lon_hi, point.position.lon_deg);
+  }
+  return box;
+}
+
+double CollisionForecaster::BoxGapMeters(const Box& a, const Box& b) {
+  // ApproxDistanceMeters = R * sqrt(dlat^2 + (dlon * cos(mean_lat))^2) is at
+  // least R * |dlat| and at least R * |dlon| * |cos(mean_lat)|; the mean
+  // latitude of two points in the boxes lies in their joint latitude range,
+  // where |cos| is smallest at the largest |lat|.
+  const double lat_gap = std::max({0.0, b.lat_lo - a.lat_hi, a.lat_lo - b.lat_hi});
+  const double lon_gap = std::max({0.0, b.lon_lo - a.lon_hi, a.lon_lo - b.lon_hi});
+  const double max_abs_lat =
+      std::max({std::abs(a.lat_lo), std::abs(a.lat_hi), std::abs(b.lat_lo),
+                std::abs(b.lat_hi)});
+  const double min_cos =
+      max_abs_lat < 90.0 ? std::cos(max_abs_lat * kDegToRad) : 0.0;
+  return kEarthRadiusMeters * kDegToRad * std::max(lat_gap, lon_gap * min_cos);
+}
+
 bool CollisionForecaster::Intersects(const ForecastTrajectory& a,
                                      const ForecastTrajectory& b,
                                      TimeMicros* meet_time, LatLng* meet_point,
+                                     double* distance_m) const {
+  return Intersects(a, BoundingBox(a), b, BoundingBox(b), meet_time,
+                    meet_point, distance_m);
+}
+
+bool CollisionForecaster::Intersects(const ForecastTrajectory& a,
+                                     const Box& a_box,
+                                     const ForecastTrajectory& b,
+                                     const Box& b_box, TimeMicros* meet_time,
+                                     LatLng* meet_point,
                                      double* distance_m) const {
   // Continuous space-time intersection: resample both piecewise-linear
   // trajectories on a fine common grid; a collision course exists when the
@@ -103,37 +225,17 @@ bool CollisionForecaster::Intersects(const ForecastTrajectory& a,
   // the temporal difference threshold (which accounts for close-proximity
   // passes, §5.2). Pointwise checks at the raw 5-minute spacing would miss
   // crossings between forecast points.
-  const TimeMicros start =
-      std::max(a.points.front().time, b.points.front().time) -
-      config_.temporal_threshold;
-  const TimeMicros end =
-      std::min(a.points.back().time, b.points.back().time) +
-      config_.temporal_threshold;
-  if (start > end) return false;  // no temporal intersection at all
-  bool found = false;
-  double best_distance = config_.spatial_threshold_m;
-  for (TimeMicros ta = start; ta <= end; ta += kIntersectSampleStep) {
-    if (ta < a.points.front().time || ta > a.points.back().time) continue;
-    const LatLng pa = SampleTrajectory(a, ta);
-    // The temporal threshold admits b's position within +/- threshold.
-    const TimeMicros tb_min =
-        std::max(ta - config_.temporal_threshold, b.points.front().time);
-    const TimeMicros tb_max =
-        std::min(ta + config_.temporal_threshold, b.points.back().time);
-    for (TimeMicros tb = tb_min; tb <= tb_max; tb += kIntersectSampleStep) {
-      const LatLng pb = SampleTrajectory(b, tb);
-      const double d = ApproxDistanceMeters(pa, pb);
-      if (d <= best_distance) {
-        best_distance = d;
-        *meet_time = ta / 2 + tb / 2;
-        meet_point->lat_deg = 0.5 * (pa.lat_deg + pb.lat_deg);
-        meet_point->lon_deg = 0.5 * (pa.lon_deg + pb.lon_deg);
-        *distance_m = d;
-        found = true;
-      }
-    }
+  if (ProvablyAbove(BoxGapMeters(a_box, b_box), config_.spatial_threshold_m)) {
+    return false;
   }
-  return found;
+  const Approach approach =
+      ClosestApproach(a, b, config_.temporal_threshold,
+                      config_.spatial_threshold_m, /*later_ties_win=*/true);
+  if (!approach.found) return false;
+  *meet_time = approach.meet_time;
+  *meet_point = approach.meet_point;
+  *distance_m = approach.distance;
+  return true;
 }
 
 std::vector<MaritimeEvent> CollisionForecaster::Observe(
@@ -161,7 +263,8 @@ std::vector<MaritimeEvent> CollisionForecaster::Observe(
     for (Mmsi other : bucket) candidates.insert(other);
     bucket.insert(mmsi);
   }
-  trajectories_[mmsi] = trajectory;
+  const Box box = BoundingBox(trajectory);
+  trajectories_[mmsi] = Tracked{trajectory, box};
   vessel_cells_[mmsi] = std::move(cells);
 
   const TimeMicros now = trajectory.points.front().time;
@@ -172,7 +275,8 @@ std::vector<MaritimeEvent> CollisionForecaster::Observe(
     TimeMicros meet_time = 0;
     LatLng meet_point;
     double distance = 0.0;
-    if (!Intersects(trajectory, other_it->second, &meet_time, &meet_point,
+    if (!Intersects(trajectory, box, other_it->second.trajectory,
+                    other_it->second.box, &meet_time, &meet_point,
                     &distance)) {
       continue;
     }
@@ -199,7 +303,7 @@ std::vector<MaritimeEvent> CollisionForecaster::Observe(
 void CollisionForecaster::Prune(TimeMicros now) {
   const TimeMicros cutoff = now - config_.retention;
   for (auto it = trajectories_.begin(); it != trajectories_.end();) {
-    if (it->second.points.front().time < cutoff) {
+    if (it->second.trajectory.points.front().time < cutoff) {
       const Mmsi mmsi = it->first;
       if (auto cells_it = vessel_cells_.find(mmsi);
           cells_it != vessel_cells_.end()) {
@@ -217,6 +321,10 @@ void CollisionForecaster::Prune(TimeMicros now) {
       ++it;
     }
   }
+  const TimeMicros alert_cutoff = cutoff - config_.pair_cooldown;
+  std::erase_if(last_alert_, [alert_cutoff](const auto& entry) {
+    return entry.second < alert_cutoff;
+  });
 }
 
 }  // namespace marlin

@@ -15,7 +15,7 @@ namespace marlin {
 /// sampled on a fine time grid with positions compared at sample times
 /// closer than `temporal_tolerance` (the close-pass window). Returns the
 /// distance in meters and, via the out-params when non-null, where/when the
-/// minimum occurs.
+/// minimum occurs (the first sample pair reaching it).
 double MinTrajectoryDistance(const ForecastTrajectory& a,
                              const ForecastTrajectory& b,
                              TimeMicros temporal_tolerance,
@@ -59,23 +59,54 @@ class CollisionForecaster {
   /// one, and returns any collision forecasts it triggers.
   std::vector<MaritimeEvent> Observe(const ForecastTrajectory& trajectory);
 
-  /// Drops trajectories whose anchor is older than `now - retention`.
+  /// Drops trajectories whose anchor is older than `now - retention`, and
+  /// pair cooldowns older than `now - retention - pair_cooldown` (they can
+  /// no longer suppress an alert anchored inside the retention horizon).
   void Prune(TimeMicros now);
 
-  size_t TrackedVessels() const { return trajectories_.size(); }
-
- private:
-  /// Cells covered by a trajectory: each point's cell plus its neighbours.
-  std::vector<CellId> CoveredCells(const ForecastTrajectory& trajectory) const;
-
-  /// Pointwise space-time intersection test of two trajectories. On hit,
-  /// fills the meeting description.
+  /// Space-time intersection test of two trajectories: the closest sample
+  /// pair (positions on a 30 s grid, at times within the temporal
+  /// threshold) no farther apart than the spatial threshold, the last one
+  /// in sampling order on ties. On hit, fills the meeting description.
   bool Intersects(const ForecastTrajectory& a, const ForecastTrajectory& b,
                   TimeMicros* meet_time, LatLng* meet_point,
                   double* distance_m) const;
 
+  size_t TrackedVessels() const { return trajectories_.size(); }
+  /// Pairs whose alert cooldown is remembered.
+  size_t CooldownEntries() const { return last_alert_.size(); }
+
+ private:
+  /// Latitude/longitude extent of a trajectory's points. Linear
+  /// interpolation never leaves it, so it bounds every sampled position.
+  struct Box {
+    double lat_lo = 0.0;
+    double lat_hi = 0.0;
+    double lon_lo = 0.0;
+    double lon_hi = 0.0;
+  };
+  struct Tracked {
+    ForecastTrajectory trajectory;
+    Box box;
+  };
+
+  static Box BoundingBox(const ForecastTrajectory& trajectory);
+  /// Lower bound, in meters, on ApproxDistanceMeters between any point of
+  /// `a` and any point of `b`.
+  static double BoxGapMeters(const Box& a, const Box& b);
+
+  /// Cells covered by a trajectory: each point's cell plus its neighbours.
+  std::vector<CellId> CoveredCells(const ForecastTrajectory& trajectory) const;
+
+  /// Intersects with precomputed bounding boxes: pairs whose boxes are
+  /// provably farther apart than the spatial threshold skip sampling.
+  bool Intersects(const ForecastTrajectory& a, const Box& a_box,
+                  const ForecastTrajectory& b, const Box& b_box,
+                  TimeMicros* meet_time, LatLng* meet_point,
+                  double* distance_m) const;
+
   Config config_;
-  std::unordered_map<Mmsi, ForecastTrajectory> trajectories_;
+  std::unordered_map<Mmsi, Tracked> trajectories_;
   std::unordered_map<Mmsi, std::vector<CellId>> vessel_cells_;
   std::unordered_map<CellId, std::unordered_set<Mmsi>> cell_vessels_;
   std::unordered_map<uint64_t, TimeMicros> last_alert_;

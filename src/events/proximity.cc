@@ -80,6 +80,10 @@ void ProximityDetector::Prune(TimeMicros now) {
       ++it;
     }
   }
+  const TimeMicros event_cutoff = cutoff - config_.pair_cooldown;
+  std::erase_if(last_event_, [event_cutoff](const auto& entry) {
+    return entry.second < event_cutoff;
+  });
 }
 
 size_t ProximityDetector::StoredObservations() const {

@@ -43,11 +43,15 @@ class ProximityDetector {
   /// completes.
   std::vector<MaritimeEvent> Observe(const AisPosition& report);
 
-  /// Drops stored observations older than `now - retention`.
+  /// Drops stored observations older than `now - retention`, and pair
+  /// cooldowns older than `now - retention - pair_cooldown` (they can no
+  /// longer suppress an event for a report inside the retention horizon).
   void Prune(TimeMicros now);
 
   const Config& config() const { return config_; }
   size_t StoredObservations() const;
+  /// Pairs whose event cooldown is remembered.
+  size_t CooldownEntries() const { return last_event_.size(); }
 
  private:
   struct StoredPosition {

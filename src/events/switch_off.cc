@@ -31,10 +31,24 @@ void SwitchOffDetector::Observe(const AisPosition& report) {
   state.last_position = report.position;
   ++state.observations;
   state.alarm_raised = false;  // transmission closes any silence episode
+  if (state.observations >= config_.min_observations) {
+    next_deadline_ =
+        std::min(next_deadline_, EarliestDeadline(state.last_seen));
+  }
+}
+
+TimeMicros SwitchOffDetector::EarliestDeadline(TimeMicros last_seen) const {
+  using Limits = std::numeric_limits<TimeMicros>;
+  const TimeMicros silence = config_.silence_threshold;
+  if (silence > 0 && last_seen > Limits::max() - silence) return Limits::max();
+  if (silence < 0 && last_seen < Limits::min() - silence) return Limits::min();
+  return last_seen + silence;
 }
 
 std::vector<MaritimeEvent> SwitchOffDetector::Check(TimeMicros now) {
   std::vector<MaritimeEvent> events;
+  if (now <= next_deadline_) return events;
+  TimeMicros next_deadline = std::numeric_limits<TimeMicros>::max();
   for (auto& [mmsi, state] : vessels_) {
     if (state.alarm_raised || state.observations < config_.min_observations) {
       continue;
@@ -51,8 +65,12 @@ std::vector<MaritimeEvent> SwitchOffDetector::Check(TimeMicros now) {
       event.event_time = state.last_seen;
       event.location = state.last_position;
       events.push_back(event);
+    } else {
+      next_deadline =
+          std::min(next_deadline, EarliestDeadline(state.last_seen));
     }
   }
+  next_deadline_ = next_deadline;
   return events;
 }
 

@@ -1,6 +1,7 @@
 #ifndef MARLIN_EVENTS_SWITCH_OFF_H_
 #define MARLIN_EVENTS_SWITCH_OFF_H_
 
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -32,7 +33,8 @@ class SwitchOffDetector {
   void Observe(const AisPosition& report);
 
   /// Scans for vessels whose silence exceeded their threshold as of `now`;
-  /// returns at most one event per silence episode.
+  /// returns at most one event per silence episode. Returns at once, without
+  /// scanning, while `now` has not passed the earliest possible deadline.
   std::vector<MaritimeEvent> Check(TimeMicros now);
 
   size_t TrackedVessels() const { return vessels_.size(); }
@@ -46,8 +48,15 @@ class SwitchOffDetector {
     bool alarm_raised = false;
   };
 
+  /// `last_seen + silence_threshold`, saturated: no vessel can alarm before
+  /// it, since every vessel's threshold is at least `silence_threshold`.
+  TimeMicros EarliestDeadline(TimeMicros last_seen) const;
+
   Config config_;
   std::unordered_map<Mmsi, VesselState> vessels_;
+  /// Lower bound on EarliestDeadline over eligible, non-alarmed vessels.
+  /// Observe only lowers it; a full scan in Check recomputes it exactly.
+  TimeMicros next_deadline_ = std::numeric_limits<TimeMicros>::max();
 };
 
 }  // namespace marlin

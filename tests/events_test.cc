@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "events/collision.h"
 #include "sim/collision_eval.h"
@@ -8,6 +14,7 @@
 #include "events/switch_off.h"
 #include "events/traffic_flow.h"
 #include "sim/proximity_dataset.h"
+#include "util/rng.h"
 #include "vrf/linear_model.h"
 
 namespace marlin {
@@ -277,6 +284,504 @@ TEST(CollisionForecasterTest, PruneDropsStaleTrajectories) {
   EXPECT_EQ(forecaster.TrackedVessels(), 2u);
   forecaster.Prune(2 * 60 * kMicrosPerMinute);
   EXPECT_EQ(forecaster.TrackedVessels(), 0u);
+}
+
+// ------------------------------------------------ Pruning oracles
+//
+// The event detectors skip work that cannot produce an event (bounding-box
+// and latitude-gap bounds in the collision sampler, an earliest-deadline
+// bound in the switch-off scan). These references are the brute-force
+// versions the pruned code replaced; the detectors must match them bit for
+// bit.
+
+bool SameBits(double x, double y) {
+  return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+}
+
+bool SameBits(const LatLng& x, const LatLng& y) {
+  return SameBits(x.lat_deg, y.lat_deg) && SameBits(x.lon_deg, y.lon_deg);
+}
+
+constexpr TimeMicros kRefSampleStep = 30 * kMicrosPerSecond;
+
+LatLng RefSample(const ForecastTrajectory& trajectory, TimeMicros t) {
+  const auto& points = trajectory.points;
+  if (t <= points.front().time) return points.front().position;
+  if (t >= points.back().time) return points.back().position;
+  for (size_t i = 1; i < points.size(); ++i) {
+    if (t <= points[i].time) {
+      const double span =
+          static_cast<double>(points[i].time - points[i - 1].time);
+      const double f =
+          span <= 0.0
+              ? 0.0
+              : static_cast<double>(t - points[i - 1].time) / span;
+      LatLng out;
+      out.lat_deg = points[i - 1].position.lat_deg +
+                    f * (points[i].position.lat_deg -
+                         points[i - 1].position.lat_deg);
+      out.lon_deg = points[i - 1].position.lon_deg +
+                    f * (points[i].position.lon_deg -
+                         points[i - 1].position.lon_deg);
+      return out;
+    }
+  }
+  return points.back().position;
+}
+
+/// Brute-force CollisionForecaster::Intersects: samples `b` afresh for
+/// every (ta, tb) and evaluates every distance.
+bool RefIntersects(const ForecastTrajectory& a, const ForecastTrajectory& b,
+                   const CollisionForecaster::Config& config,
+                   TimeMicros* meet_time, LatLng* meet_point,
+                   double* distance_m) {
+  const TimeMicros start =
+      std::max(a.points.front().time, b.points.front().time) -
+      config.temporal_threshold;
+  const TimeMicros end =
+      std::min(a.points.back().time, b.points.back().time) +
+      config.temporal_threshold;
+  if (start > end) return false;
+  bool found = false;
+  double best_distance = config.spatial_threshold_m;
+  for (TimeMicros ta = start; ta <= end; ta += kRefSampleStep) {
+    if (ta < a.points.front().time || ta > a.points.back().time) continue;
+    const LatLng pa = RefSample(a, ta);
+    const TimeMicros tb_min =
+        std::max(ta - config.temporal_threshold, b.points.front().time);
+    const TimeMicros tb_max =
+        std::min(ta + config.temporal_threshold, b.points.back().time);
+    for (TimeMicros tb = tb_min; tb <= tb_max; tb += kRefSampleStep) {
+      const LatLng pb = RefSample(b, tb);
+      const double d = ApproxDistanceMeters(pa, pb);
+      if (d <= best_distance) {
+        best_distance = d;
+        *meet_time = ta / 2 + tb / 2;
+        meet_point->lat_deg = 0.5 * (pa.lat_deg + pb.lat_deg);
+        meet_point->lon_deg = 0.5 * (pa.lon_deg + pb.lon_deg);
+        *distance_m = d;
+        found = true;
+      }
+    }
+  }
+  return found;
+}
+
+/// Brute-force MinTrajectoryDistance (first minimum wins ties).
+double RefMinTrajectoryDistance(const ForecastTrajectory& a,
+                                const ForecastTrajectory& b,
+                                TimeMicros temporal_tolerance,
+                                TimeMicros* meet_time, LatLng* meet_point) {
+  double best = 1e18;
+  if (a.points.empty() || b.points.empty()) return best;
+  const TimeMicros start =
+      std::max(a.points.front().time, b.points.front().time) -
+      temporal_tolerance;
+  const TimeMicros end = std::min(a.points.back().time, b.points.back().time) +
+                         temporal_tolerance;
+  for (TimeMicros ta = start; ta <= end; ta += kRefSampleStep) {
+    if (ta < a.points.front().time || ta > a.points.back().time) continue;
+    const LatLng pa = RefSample(a, ta);
+    const TimeMicros tb_min =
+        std::max(ta - temporal_tolerance, b.points.front().time);
+    const TimeMicros tb_max =
+        std::min(ta + temporal_tolerance, b.points.back().time);
+    for (TimeMicros tb = tb_min; tb <= tb_max; tb += kRefSampleStep) {
+      const LatLng pb = RefSample(b, tb);
+      const double d = ApproxDistanceMeters(pa, pb);
+      if (d < best) {
+        best = d;
+        *meet_time = ta / 2 + tb / 2;
+        meet_point->lat_deg = 0.5 * (pa.lat_deg + pb.lat_deg);
+        meet_point->lon_deg = 0.5 * (pa.lon_deg + pb.lon_deg);
+      }
+    }
+  }
+  return best;
+}
+
+/// A random trajectory for the oracle: usually the forecaster's 7 points at
+/// 5-minute spacing, sometimes 2-9 points at irregular (even zero-length)
+/// spacing; sometimes stationary, so that every sample pair ties.
+ForecastTrajectory RandomTrajectory(Rng* rng, const LatLng& origin,
+                                    TimeMicros start) {
+  ForecastTrajectory trajectory;
+  const bool regular = rng->NextDouble() < 0.7;
+  const int points =
+      regular ? kSvrfOutputSteps + 1 : static_cast<int>(rng->UniformInt(2, 9));
+  const bool stationary = rng->NextDouble() < 0.1;
+  const double cog = rng->Uniform(0.0, 360.0);
+  const double sog = stationary ? 0.0 : rng->Uniform(0.5, 25.0);
+  LatLng position = origin;
+  TimeMicros t = start;
+  for (int i = 0; i < points; ++i) {
+    trajectory.points.push_back(ForecastPoint{position, t});
+    const TimeMicros dt =
+        regular ? kSvrfStepMicros : rng->UniformInt(0, 12 * kMicrosPerMinute);
+    t += dt;
+    if (!stationary) {
+      const double turn = regular ? rng->Normal() * 5.0 : rng->Normal() * 60.0;
+      position = DestinationPoint(position, cog + turn,
+                                  sog * kKnotsToMps * static_cast<double>(dt) /
+                                      kMicrosPerSecond);
+    }
+  }
+  return trajectory;
+}
+
+LatLng RandomOrigin(Rng* rng) {
+  switch (rng->UniformInt(uint64_t{4})) {
+    case 0:  // high latitude, north or south
+      return LatLng{(rng->NextDouble() < 0.5 ? 1.0 : -1.0) *
+                        rng->Uniform(78.0, 82.0),
+                    rng->Uniform(-180.0, 180.0)};
+    case 1:  // next to the antimeridian
+      return LatLng{rng->Uniform(-60.0, 60.0),
+                    (rng->NextDouble() < 0.5 ? 1.0 : -1.0) *
+                        rng->Uniform(179.9, 180.0)};
+    default:
+      return LatLng{rng->Uniform(30.0, 45.0), rng->Uniform(-10.0, 30.0)};
+  }
+}
+
+struct OracleCounts {
+  int pairs = 0;
+  int found = 0;
+};
+
+/// One random pair: `b` starts near `a` (some right at the spatial threshold,
+/// some kilometres away) with a random time offset, some past the window.
+OracleCounts CheckRandomPair(Rng* rng, TimeMicros temporal_threshold) {
+  const LatLng origin = RandomOrigin(rng);
+  const TimeMicros a_start = 1'700'000'000LL * kMicrosPerSecond +
+                             rng->UniformInt(0, 3600 * kMicrosPerSecond);
+  const ForecastTrajectory a = RandomTrajectory(rng, origin, a_start);
+  TimeMicros offset;
+  switch (rng->UniformInt(uint64_t{3})) {
+    case 0:  // aligned to the sample grid
+      offset = rng->UniformInt(-20, 20) * kRefSampleStep;
+      break;
+    case 1:  // past the temporal window
+      offset = (rng->NextDouble() < 0.5 ? 1 : -1) *
+               (30 * kMicrosPerMinute + temporal_threshold +
+                rng->UniformInt(0, 10 * kMicrosPerMinute));
+      break;
+    default:  // arbitrary, off the grid
+      offset = rng->UniformInt(-40 * kMicrosPerMinute, 40 * kMicrosPerMinute);
+  }
+  double separation_m;
+  switch (rng->UniformInt(uint64_t{3})) {
+    case 0:
+      separation_m = rng->Uniform(0.0, 800.0);
+      break;
+    case 1:
+      separation_m = 500.0 + rng->Normal() * 2.0;
+      break;
+    default:
+      separation_m = rng->Uniform(0.0, 20000.0);
+  }
+  const LatLng b_origin =
+      DestinationPoint(origin, rng->Uniform(0.0, 360.0), separation_m);
+  const ForecastTrajectory b = RandomTrajectory(rng, b_origin, a_start + offset);
+
+  CollisionForecaster::Config config;
+  config.temporal_threshold = temporal_threshold;
+  if (rng->NextDouble() < 0.05) {
+    // The threshold equals an attainable distance exactly: ties at the
+    // threshold must still count as intersections.
+    config.spatial_threshold_m =
+        ApproxDistanceMeters(a.points.front().position,
+                             b.points.front().position);
+  }
+  const CollisionForecaster forecaster(config);
+
+  OracleCounts counts;
+  counts.pairs = 1;
+  const LatLng sentinel{-999.0, -999.0};
+  TimeMicros ref_time = -1, got_time = -1;
+  LatLng ref_point = sentinel, got_point = sentinel;
+  double ref_distance = -1.0, got_distance = -1.0;
+  const bool ref_found = RefIntersects(a, b, config, &ref_time, &ref_point,
+                                       &ref_distance);
+  const bool got_found = forecaster.Intersects(a, b, &got_time, &got_point,
+                                               &got_distance);
+  EXPECT_EQ(got_found, ref_found);
+  EXPECT_EQ(got_time, ref_time);
+  EXPECT_TRUE(SameBits(got_point, ref_point));
+  EXPECT_TRUE(SameBits(got_distance, ref_distance));
+  counts.found = ref_found ? 1 : 0;
+
+  TimeMicros ref_min_time = -1, got_min_time = -1;
+  LatLng ref_min_point = sentinel, got_min_point = sentinel;
+  const double ref_min = RefMinTrajectoryDistance(
+      a, b, temporal_threshold, &ref_min_time, &ref_min_point);
+  const double got_min = MinTrajectoryDistance(a, b, temporal_threshold,
+                                               &got_min_time, &got_min_point);
+  EXPECT_TRUE(SameBits(got_min, ref_min));
+  EXPECT_EQ(got_min_time, ref_min_time);
+  EXPECT_TRUE(SameBits(got_min_point, ref_min_point));
+  return counts;
+}
+
+TEST(CollisionOracleTest, PrunedSamplingMatchesBruteForceBitwise) {
+  for (const TimeMicros threshold :
+       {2 * kMicrosPerMinute, 5 * kMicrosPerMinute}) {
+    Rng rng(0xC011 + static_cast<uint64_t>(threshold));
+    OracleCounts total;
+    for (int i = 0; i < 60000; ++i) {
+      const OracleCounts counts = CheckRandomPair(&rng, threshold);
+      total.pairs += counts.pairs;
+      total.found += counts.found;
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "first mismatch at pair " << i << ", threshold "
+               << threshold / kMicrosPerMinute << " min";
+      }
+    }
+    // Both outcomes are well represented.
+    EXPECT_GT(total.found, total.pairs / 10);
+    EXPECT_LT(total.found, total.pairs * 9 / 10);
+  }
+}
+
+/// Brute-force SwitchOffDetector: scans every vessel on every Check.
+class RefSwitchOff {
+ public:
+  explicit RefSwitchOff(const SwitchOffDetector::Config& config)
+      : config_(config) {}
+
+  void Observe(const AisPosition& report) {
+    State& state = vessels_[report.mmsi];
+    if (state.observations > 0 && report.timestamp > state.last_seen) {
+      const double interval_sec =
+          static_cast<double>(report.timestamp - state.last_seen) /
+          kMicrosPerSecond;
+      const double threshold_sec =
+          static_cast<double>(config_.silence_threshold) / kMicrosPerSecond;
+      if (interval_sec < threshold_sec) {
+        const double alpha = 0.2;
+        state.mean_interval_sec =
+            state.observations == 1
+                ? interval_sec
+                : (1.0 - alpha) * state.mean_interval_sec +
+                      alpha * interval_sec;
+      }
+    }
+    state.last_seen = std::max(state.last_seen, report.timestamp);
+    state.last_position = report.position;
+    ++state.observations;
+    state.alarm_raised = false;
+  }
+
+  std::vector<MaritimeEvent> Check(TimeMicros now) {
+    std::vector<MaritimeEvent> events;
+    for (auto& [mmsi, state] : vessels_) {
+      if (state.alarm_raised ||
+          state.observations < config_.min_observations) {
+        continue;
+      }
+      const TimeMicros adaptive = static_cast<TimeMicros>(
+          config_.interval_factor * state.mean_interval_sec *
+          kMicrosPerSecond);
+      const TimeMicros threshold =
+          std::max(config_.silence_threshold, adaptive);
+      if (now - state.last_seen > threshold) {
+        state.alarm_raised = true;
+        MaritimeEvent event;
+        event.type = EventType::kAisSwitchOff;
+        event.vessel_a = mmsi;
+        event.detected_at = now;
+        event.event_time = state.last_seen;
+        event.location = state.last_position;
+        events.push_back(event);
+      }
+    }
+    return events;
+  }
+
+ private:
+  struct State {
+    TimeMicros last_seen = 0;
+    LatLng last_position;
+    double mean_interval_sec = 0.0;
+    int observations = 0;
+    bool alarm_raised = false;
+  };
+  SwitchOffDetector::Config config_;
+  std::unordered_map<Mmsi, State> vessels_;
+};
+
+TEST(SwitchOffOracleTest, DeadlineBoundMatchesFullScan) {
+  SwitchOffDetector::Config tight;
+  tight.silence_threshold = 5 * kMicrosPerMinute;
+  tight.interval_factor = 3.0;
+  tight.min_observations = 1;
+  int total_events = 0;
+  for (const SwitchOffDetector::Config& config :
+       {SwitchOffDetector::Config(), tight}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(seed * 7919 + static_cast<uint64_t>(config.min_observations));
+      SwitchOffDetector detector(config);
+      RefSwitchOff reference(config);
+      // Per vessel: cadence (regular, or sparse satellite-like), and the
+      // stream time it next transmits; vessels go silent and resume.
+      struct Vessel {
+        TimeMicros cadence;
+        TimeMicros next;
+      };
+      std::vector<Vessel> vessels;
+      for (int v = 0; v < 150; ++v) {
+        const TimeMicros cadence =
+            rng.NextDouble() < 0.2
+                ? rng.UniformInt(8 * kMicrosPerMinute, 40 * kMicrosPerMinute)
+                : rng.UniformInt(5 * kMicrosPerSecond, 3 * kMicrosPerMinute);
+        vessels.push_back(Vessel{cadence, rng.UniformInt(0, cadence)});
+      }
+      TimeMicros now = 0;
+      int checks = 0;
+      for (int step = 0; step < 4000; ++step) {
+        now += rng.UniformInt(1, 60) * kMicrosPerSecond;
+        for (size_t v = 0; v < vessels.size(); ++v) {
+          Vessel& vessel = vessels[v];
+          while (vessel.next <= now) {
+            AisPosition report;
+            report.mmsi = static_cast<Mmsi>(1000 + v);
+            // Occasionally delivered late, out of order.
+            report.timestamp =
+                vessel.next - (rng.NextDouble() < 0.05
+                                   ? rng.UniformInt(0, 10 * kMicrosPerMinute)
+                                   : 0);
+            report.position = LatLng{rng.Uniform(30.0, 40.0),
+                                     rng.Uniform(10.0, 20.0)};
+            detector.Observe(report);
+            reference.Observe(report);
+            vessel.next += vessel.cadence;
+            // Switch-offs: silent for up to 3 hours.
+            if (rng.NextDouble() < 0.01) {
+              vessel.next += rng.UniformInt(0, 180 * kMicrosPerMinute);
+            }
+          }
+        }
+        if (rng.NextDouble() < 0.3) {
+          // Mostly the current time; sometimes a stale or early clock.
+          TimeMicros at = now;
+          if (rng.NextDouble() < 0.1) {
+            at += rng.UniformInt(-20 * kMicrosPerMinute, 20 * kMicrosPerMinute);
+          }
+          const auto got = detector.Check(at);
+          const auto want = reference.Check(at);
+          ++checks;
+          ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " check "
+                                             << checks;
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].vessel_a, want[i].vessel_a);
+            EXPECT_EQ(got[i].detected_at, want[i].detected_at);
+            EXPECT_EQ(got[i].event_time, want[i].event_time);
+            EXPECT_TRUE(SameBits(got[i].location, want[i].location));
+          }
+          total_events += static_cast<int>(want.size());
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_events, 500);
+}
+
+// --------------------------------------------- Bounded pair-cooldown state
+
+/// Without pruning, a pair's cooldown entry holds the time of its last
+/// event. The events are therefore unchanged by pruning exactly when every
+/// pair's consecutive events are at least `cooldown` apart (measured as the
+/// detector measures it): a pruned entry that would have suppressed an event
+/// shows up as two events closer than that.
+void ExpectCooldownsRespected(const std::vector<MaritimeEvent>& events,
+                              TimeMicros cooldown) {
+  std::map<uint64_t, TimeMicros> last;
+  for (const MaritimeEvent& event : events) {
+    const uint64_t key = PairKey(event.vessel_a, event.vessel_b);
+    auto it = last.find(key);
+    if (it != last.end()) {
+      EXPECT_GE(event.detected_at - it->second, cooldown)
+          << event.vessel_a << "/" << event.vessel_b;
+    }
+    last[key] = event.detected_at;
+  }
+}
+
+TEST(ProximityDetectorTest, CooldownMapPlateausOverLongStream) {
+  ProximityDetector detector;
+  Rng rng(42);
+  // 40 vessels in a 1.5 km square; every 20 minutes of stream time one slot
+  // is taken over by a new MMSI, so distinct pairs keep growing.
+  std::vector<Mmsi> slots;
+  for (Mmsi m = 1; m <= 40; ++m) slots.push_back(m);
+  Mmsi next_mmsi = 41;
+  std::vector<MaritimeEvent> events;
+  std::set<uint64_t> pairs;
+  size_t early_max = 0, late_max = 0;
+  const TimeMicros hours = 24;
+  for (TimeMicros t = 0; t < hours * 60 * kMicrosPerMinute;
+       t += 30 * kMicrosPerSecond) {
+    if (t % (20 * kMicrosPerMinute) == 0 && t > 0) {
+      slots[rng.UniformInt(uint64_t{slots.size()})] = next_mmsi++;
+    }
+    for (Mmsi mmsi : slots) {
+      const auto found = detector.Observe(
+          At(mmsi, t + rng.UniformInt(0, 29 * kMicrosPerSecond),
+             38.0 + rng.Uniform(0.0, 0.0135), 24.0 + rng.Uniform(0.0, 0.017)));
+      for (const MaritimeEvent& e : found) {
+        pairs.insert(PairKey(e.vessel_a, e.vessel_b));
+        events.push_back(e);
+      }
+    }
+    if (t % kMicrosPerMinute == 0) {
+      detector.Prune(t);
+      size_t& peak = t < hours * 30 * kMicrosPerMinute ? early_max : late_max;
+      peak = std::max(peak, detector.CooldownEntries());
+    }
+  }
+  ExpectCooldownsRespected(events, detector.config().pair_cooldown);
+  // The map holds recent pairs only: it stops growing while the number of
+  // distinct pairs keeps climbing.
+  EXPECT_GT(pairs.size(), 4 * late_max);
+  EXPECT_LE(late_max, early_max + early_max / 4);
+}
+
+TEST(CollisionForecasterTest, CooldownMapPlateausOverLongStream) {
+  CollisionForecaster::Config config;
+  CollisionForecaster forecaster(config);
+  Rng rng(43);
+  std::vector<Mmsi> slots;
+  for (Mmsi m = 1; m <= 30; ++m) slots.push_back(m);
+  Mmsi next_mmsi = 31;
+  std::vector<MaritimeEvent> events;
+  std::set<uint64_t> pairs;
+  size_t early_max = 0, late_max = 0;
+  const TimeMicros hours = 24;
+  for (TimeMicros t = 0; t < hours * 60 * kMicrosPerMinute;
+       t += kMicrosPerMinute) {
+    if (t % (15 * kMicrosPerMinute) == 0 && t > 0) {
+      slots[rng.UniformInt(uint64_t{slots.size()})] = next_mmsi++;
+    }
+    for (Mmsi mmsi : slots) {
+      // Vessels criss-cross a 6 km square at 5-15 knots.
+      const auto found = forecaster.Observe(MakeTrajectory(
+          mmsi, t, 38.0 + rng.Uniform(0.0, 0.054),
+          24.0 + rng.Uniform(0.0, 0.068), rng.Uniform(0.0, 360.0),
+          rng.Uniform(5.0, 15.0)));
+      for (const MaritimeEvent& e : found) {
+        pairs.insert(PairKey(e.vessel_a, e.vessel_b));
+        events.push_back(e);
+      }
+    }
+    if (t % (5 * kMicrosPerMinute) == 0) {
+      forecaster.Prune(t);
+      size_t& peak = t < hours * 30 * kMicrosPerMinute ? early_max : late_max;
+      peak = std::max(peak, forecaster.CooldownEntries());
+    }
+  }
+  ExpectCooldownsRespected(events, config.pair_cooldown);
+  EXPECT_GT(pairs.size(), 4 * late_max);
+  EXPECT_LE(late_max, early_max + early_max / 4);
 }
 
 // ------------------------------------------------------------------ VTFF

@@ -14,6 +14,7 @@
 #include "ais/preprocess.h"
 #include "chk/deterministic_scheduler.h"
 #include "core/pipeline.h"
+#include "core/quiescence.h"
 #include "geo/geodesy.h"
 #include "obs/metrics.h"
 #include "geo/world.h"
@@ -347,6 +348,81 @@ TEST_F(InferenceBatcherTest, ConcurrentSubmitsFireEveryCallbackExactlyOnce) {
   EXPECT_TRUE(batcher.Quiescent());
   EXPECT_EQ(batcher.stats().submitted,
             static_cast<uint64_t>(kThreads * kPerThread));
+}
+
+// ------------------------------------- actor/batcher quiescence handshake
+
+/// Counts the forecast results Told to it.
+class ResultCounter : public Actor {
+ public:
+  explicit ResultCounter(int* received) : received_(received) {}
+  Status Receive(const std::any& message, ActorContext& ctx) override {
+    (void)message;
+    (void)ctx;
+    ++*received_;
+    return Status::Ok();
+  }
+
+ private:
+  int* received_;
+};
+
+/// The pipeline's batcher as AwaitActorsAndBatcher sees it, with a deadline
+/// ticker that has taken every pending request and finishes its batch at
+/// the worst moment: after the actor system went quiet, just before the
+/// batcher's quiescence check. Its callbacks Tell results into the system.
+class TickerRacingBatcher {
+ public:
+  explicit TickerRacingBatcher(InferenceBatcher* batcher)
+      : batcher_(batcher) {}
+
+  int Flush() { return ticker_done_ ? batcher_->Flush() : 0; }
+
+  bool Quiescent() {
+    if (!ticker_done_) {
+      ticker_done_ = true;
+      batcher_->Flush();  // the ticker delivers its batch
+    }
+    return batcher_->Quiescent();
+  }
+
+ private:
+  InferenceBatcher* batcher_;
+  bool ticker_done_ = false;
+};
+
+TEST_F(InferenceBatcherTest, QuiescenceWaitsForResultsOfAConcurrentFlush) {
+  // Cooperative scheduler: Told results are processed only inside
+  // AwaitQuiescence, so results still queued when the wait returns stay
+  // visibly unprocessed. Returning as soon as the batcher is quiescent
+  // (without re-checking the system) leaves all of them queued.
+  auto sched = std::make_shared<chk::DeterministicScheduler>(7);
+  ActorSystemConfig system_config;
+  system_config.dispatcher = sched;
+  system_config.throughput = 1;
+  system_config.metrics = &registry_;
+  ActorSystem system(system_config);
+  int received = 0;
+  auto counter = system.SpawnActor<ResultCounter>("results", &received);
+  ASSERT_TRUE(counter.ok());
+  const ActorRef ref = *counter;
+
+  InferenceBatcher batcher(&model_, ManualOptions(/*max_batch=*/16));
+  constexpr int kRequests = 5;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(batcher
+                    .Submit(samples_[0].input,
+                            [&system, ref](StatusOr<ForecastTrajectory> result,
+                                           int64_t) {
+                              system.Tell(ref, std::move(result));
+                            })
+                    .ok());
+  }
+  TickerRacingBatcher racing(&batcher);
+  AwaitActorsAndBatcher(&system, &racing);
+  EXPECT_EQ(received, kRequests);
+  EXPECT_TRUE(system.Idle());
+  EXPECT_TRUE(batcher.Quiescent());
 }
 
 // ------------------------------------------- pipeline under chk scheduler
