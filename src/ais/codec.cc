@@ -402,6 +402,11 @@ StatusOr<AisCodec::FragmentInfo> AisCodec::ParseFragmentInfo(
       info.fragment_number > info.fragment_count) {
     return Status::InvalidArgument("inconsistent fragment numbering");
   }
+  // NMEA 0183 gives the count one digit. A larger one is hostile input that
+  // would make AivdmAssembler allocate a slot per claimed fragment.
+  if (info.fragment_count > 9) {
+    return Status::InvalidArgument("fragment count above 9");
+  }
   return info;
 }
 

@@ -256,27 +256,11 @@ void ClusterNode::Tick(TimeMicros now) {
     for (auto& [name, region] : regions_) regions.push_back(region.get());
   }
   for (ShardRegion* region : regions) region->ResendPendingHandoffs(now);
-  for (const auto& listener : tick_listeners_) listener(now);
 }
-
-void ClusterNode::RegisterFrameHandler(
-    FrameType type, std::function<void(const Frame&)> handler) {
-  frame_handlers_[type] = std::move(handler);
-}
-
-void ClusterNode::AddTickListener(std::function<void(TimeMicros)> listener) {
-  tick_listeners_.push_back(std::move(listener));
-}
-
-Transport* ClusterNode::wire() { return counting_transport_.get(); }
 
 void ClusterNode::OnFrame(const Frame& frame) {
   counting_transport_->CountReceived(frame);
-  auto extension = frame_handlers_.find(frame.type);
-  if (extension != frame_handlers_.end()) {
-    extension->second(frame);
-    return;
-  }
+  // FrameDecoder accepts any type byte; one with no case below is dropped.
   switch (frame.type) {
     case FrameType::kHello:
       // Connection attribution; consumed by the TCP transport layer.
@@ -336,11 +320,6 @@ void ClusterNode::OnFrame(const Frame& frame) {
       }
       break;
     }
-    case FrameType::kReplicate:
-    case FrameType::kReplicateAck:
-      // Replication frames are only meaningful through a registered
-      // handler (cluster::LogReplicator); without one they are dropped.
-      break;
   }
 }
 

@@ -1,7 +1,6 @@
 #ifndef MARLIN_CLUSTER_CLUSTER_NODE_H_
 #define MARLIN_CLUSTER_CLUSTER_NODE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -84,24 +83,6 @@ class ClusterNode {
   ActorSystem& system() { return system_; }
   Membership& membership() { return membership_; }
 
-  /// Routes inbound frames of `type` to `handler` — the extension seam
-  /// protocol add-ons (log replication) plug into without the node knowing
-  /// their payloads. One handler per type; registering twice replaces.
-  /// Register before Start() or from a quiescent node: registration is not
-  /// synchronized against in-flight frame delivery.
-  void RegisterFrameHandler(FrameType type,
-                            std::function<void(const Frame&)> handler);
-
-  /// Adds a callback invoked at the end of every Tick(now) — how add-ons
-  /// piggyback their periodic work (replication fan-out) on the node's
-  /// protocol clock without owning a thread. Same registration caveat as
-  /// RegisterFrameHandler.
-  void AddTickListener(std::function<void(TimeMicros)> listener);
-
-  /// The counting transport regions and add-ons send through (so their
-  /// frames appear in per-peer accounting). Owned by the node.
-  Transport* wire();
-
   /// Current ring snapshot (copy).
   HashRing ring() const;
 
@@ -134,12 +115,6 @@ class ClusterNode {
   bool started_ = false;
   bool shut_down_ = false;
   ActorRef ticker_ref_;
-
-  /// Extension seams (see RegisterFrameHandler / AddTickListener). Mutated
-  /// only during setup; read from the frame handler and Tick without a
-  /// lock, matching the registration caveat.
-  std::map<FrameType, std::function<void(const Frame&)>> frame_handlers_;
-  std::vector<std::function<void(TimeMicros)>> tick_listeners_;
 
   struct Metrics {
     obs::Counter* heartbeats_sent = nullptr;

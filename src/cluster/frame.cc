@@ -38,10 +38,6 @@ const char* FrameTypeName(FrameType type) {
       return "handoff-begin";
     case FrameType::kHandoffAck:
       return "handoff-ack";
-    case FrameType::kReplicate:
-      return "replicate";
-    case FrameType::kReplicateAck:
-      return "replicate-ack";
   }
   return "unknown";
 }

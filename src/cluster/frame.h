@@ -16,7 +16,8 @@ using NodeId = uint32_t;
 
 constexpr NodeId kNoNode = 0;
 
-/// Kinds of frames exchanged between cluster nodes.
+/// Kinds of frames exchanged between cluster nodes. The values are the
+/// wire format; ClusterNode drops frames whose type byte is unassigned.
 enum class FrameType : uint8_t {
   /// First frame on every outbound TCP connection: identifies the dialing
   /// node so the acceptor can attribute inbound frames.
@@ -33,12 +34,6 @@ enum class FrameType : uint8_t {
   kHandoffBegin = 5,
   /// "I agree I own shard S; send me its buffered envelopes."
   kHandoffAck = 6,
-  /// A batch of log records streamed from a partition leader to a
-  /// follower (storage replication; handled by cluster::LogReplicator).
-  kReplicate = 7,
-  /// Follower's acknowledged log end for one partition; the leader folds
-  /// acks into the quorum-committed offset.
-  kReplicateAck = 8,
 };
 
 const char* FrameTypeName(FrameType type);

@@ -129,59 +129,6 @@ Status LogSegment::PrepareForAppend() {
   return Status::Ok();
 }
 
-Status LogSegment::TruncateTo(int64_t offset) {
-  if (offset < base_offset_ || offset > next_offset_) {
-    return Status::InvalidArgument(
-        "truncate offset " + std::to_string(offset) + " outside segment [" +
-        std::to_string(base_offset_) + ", " + std::to_string(next_offset_) +
-        "]");
-  }
-  if (offset == next_offset_) return PrepareForAppend();
-  if (file_ != nullptr && std::fflush(file_) != 0) {
-    return IoError("flush segment", path_);
-  }
-  // Locate the cut: seek near it via the sparse index, then walk frames.
-  uint64_t pos = 0;
-  for (const IndexEntry& entry : index_) {
-    if (entry.offset > offset) break;
-    pos = entry.file_pos;
-  }
-  std::FILE* in = std::fopen(path_.c_str(), "rb");
-  if (in == nullptr) return IoError("open segment for read", path_);
-  std::string buffer;
-  buffer.resize(static_cast<size_t>(bytes_ - pos));
-  size_t got = 0;
-  if (std::fseek(in, static_cast<long>(pos), SEEK_SET) == 0) {
-    got = std::fread(buffer.data(), 1, buffer.size(), in);
-  }
-  std::fclose(in);
-  buffer.resize(got);
-  RecordScanner scanner(buffer);
-  LogRecord record;
-  size_t keep = 0;
-  while (scanner.Next(&record)) {
-    if (record.offset >= offset) break;
-    keep = scanner.valid_bytes();
-  }
-  const uint64_t cut = pos + keep;
-  // The write handle keeps its own stdio position at the old end (Create
-  // opens "wb", which is positional, not O_APPEND) — writing through it
-  // after the resize would leave a zero-filled hole at the cut. Drop it and
-  // reopen in append mode so the next write lands exactly at the new end.
-  Close();
-  std::error_code ec;
-  std::filesystem::resize_file(path_, cut, ec);
-  if (ec) {
-    return Status::Internal("truncate segment '" + path_ +
-                            "': " + ec.message());
-  }
-  bytes_ = cut;
-  next_offset_ = offset;
-  while (!index_.empty() && index_.back().offset >= offset) index_.pop_back();
-  last_indexed_pos_ = index_.empty() ? 0 : index_.back().file_pos;
-  return PrepareForAppend();
-}
-
 Status LogSegment::Flush(bool sync) {
   if (file_ == nullptr) return Status::Ok();  // sealed segments are durable
   if (std::fflush(file_) != 0) return IoError("flush segment", path_);

@@ -75,12 +75,6 @@ class LogSegment {
   /// the write handle. No-op when already writable.
   Status PrepareForAppend();
 
-  /// Drops every record at or past `offset` (the replication reconcile
-  /// path: a divergent uncommitted suffix is cut before re-appending the
-  /// leader's version). `offset` must lie in [base_offset, end_offset].
-  /// Leaves the segment writable.
-  Status TruncateTo(int64_t offset);
-
   /// Drains the stdio buffer to the OS; when `sync` also fsyncs to media.
   Status Flush(bool sync);
 

@@ -261,33 +261,6 @@ Status PartitionLog::Flush() {
   return Status::Ok();
 }
 
-Status PartitionLog::TruncateSuffix(int64_t offset) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (segments_.empty()) return Status::Ok();
-  if (offset >= segments_.rbegin()->second->end_offset()) return Status::Ok();
-  if (offset < segments_.begin()->first) {
-    return Status::InvalidArgument(
-        "truncate offset " + std::to_string(offset) + " below start offset " +
-        std::to_string(segments_.begin()->first));
-  }
-  // Whole segments at or past the cut are deleted outright...
-  while (segments_.size() > 1 && segments_.rbegin()->first >= offset) {
-    auto last = std::prev(segments_.end());
-    last->second->Close();
-    std::error_code ec;
-    std::filesystem::remove(last->second->path(), ec);
-    if (ec) {
-      return Status::Internal("remove segment '" + last->second->path() +
-                              "': " + ec.message());
-    }
-    segments_.erase(last);
-  }
-  // ...then the cut lands inside (or at the end of) the remaining tail
-  // segment, which TruncateTo leaves open for appends.
-  unsynced_bytes_ = 0;  // the truncated bytes can no longer need syncing
-  return ActiveLocked()->TruncateTo(offset);
-}
-
 size_t PartitionLog::CompactPrefix(int64_t horizon) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t removed = 0;

@@ -59,7 +59,7 @@ class PartitionLog {
     /// advising operator action, losing nothing. On: segments past the
     /// corruption-induced offset gap are renamed `*.seg.quarantined` and
     /// the valid prefix recovers — explicit data loss in exchange for a
-    /// usable partition (replication backfills the suffix).
+    /// usable partition.
     bool quarantine_corrupt_suffix = false;
   };
 
@@ -78,7 +78,8 @@ class PartitionLog {
                            std::string_view value);
 
   /// Appends a pre-offset record; `record.offset` must equal end_offset().
-  /// The replication follower path, where the leader dictates offsets.
+  /// The broker durability seam (DurableLogStorage::Append), where the
+  /// broker's in-memory log has already assigned the offset.
   Status AppendRecord(const LogRecord& record);
 
   /// Reads up to `max_records` records starting at `from_offset`, crossing
@@ -92,13 +93,6 @@ class PartitionLog {
   /// offset < horizon that shares no segment with a retained record).
   /// Returns the number of segments removed.
   size_t CompactPrefix(int64_t horizon);
-
-  /// Drops every record at or past `offset`, deleting whole segments above
-  /// the cut and truncating within the one containing it. The replication
-  /// reconcile path: a follower cuts a divergent uncommitted suffix before
-  /// re-appending the leader's version. `offset` must be at or above
-  /// start_offset(); at or past end_offset() it is a no-op.
-  Status TruncateSuffix(int64_t offset);
 
   /// Oldest retained offset (advances under compaction).
   int64_t start_offset() const;

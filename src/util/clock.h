@@ -32,25 +32,6 @@ class WallClock : public Clock {
   }
 };
 
-/// Manually advanced clock; thread-safe. Used by tests and by the simulator
-/// to drive the pipeline in stream time.
-class SimulatedClock : public Clock {
- public:
-  explicit SimulatedClock(TimeMicros start = 0) : now_(start) {}
-
-  TimeMicros Now() const override {
-    return now_.load(std::memory_order_acquire);
-  }
-
-  void Advance(TimeMicros delta) {
-    now_.fetch_add(delta, std::memory_order_acq_rel);
-  }
-  void Set(TimeMicros t) { now_.store(t, std::memory_order_release); }
-
- private:
-  std::atomic<TimeMicros> now_;
-};
-
 /// Monotonic nanosecond source — the seam that lets latency instrumentation
 /// (Stopwatch, and through it LatencyRecorder feeds) run on either host
 /// steady time or virtual stream time. Null means "host steady clock".
@@ -60,7 +41,8 @@ class NanoClock {
   virtual int64_t NowNanos() const = 0;
 };
 
-/// Virtual-time clock owned by a discrete-event loop (sim/des). Reads are
+/// The manually advanced clock: owned by a discrete-event loop (sim/des)
+/// and by tests that step time themselves. Reads are
 /// lock-free; AdvanceTo never moves time backwards even when racing
 /// advancers, so components observing it mid-dispatch always see a
 /// monotonic timeline. Implements both the micros Clock seam (pipeline,

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "ais/codec.h"
 #include "ais/preprocess.h"
@@ -157,6 +160,146 @@ TEST(AisCodecTest, StaticRoundTrip) {
 TEST(AisCodecTest, StaticRequiresTwoFragments) {
   EXPECT_FALSE(AisCodec::DecodeStatic({}).ok());
   EXPECT_FALSE(AisCodec::DecodeStatic({"!AIVDM,1,1,,A,0,0*00"}).ok());
+}
+
+/// Re-seals `sentence` with a valid NMEA checksum over whatever lies
+/// between the leading '!' and the last '*', so a mutation reaches the
+/// field parsers instead of stopping at the checksum.
+std::string Reseal(const std::string& sentence) {
+  const size_t begin = !sentence.empty() && sentence[0] == '!' ? 1 : 0;
+  size_t star = sentence.rfind('*');
+  if (star == std::string::npos || star < begin) star = sentence.size();
+  const std::string body = sentence.substr(begin, star - begin);
+  char checksum[8];
+  std::snprintf(checksum, sizeof(checksum), "*%02X",
+                AisCodec::Checksum(body));
+  return "!" + body + checksum;
+}
+
+TEST(AisCodecTest, FragmentCountAboveNineIsRejected) {
+  // The assembler sizes a group by the claimed count, so a hostile count
+  // (up to INT_MAX) must be refused before it reaches Feed's allocation.
+  const std::string sentence = Reseal("!AIVDM,10,1,7,A,0,0");
+  EXPECT_FALSE(AisCodec::ParseFragmentInfo(sentence).ok());
+  AivdmAssembler assembler;
+  EXPECT_FALSE(assembler.Feed(sentence).ok());
+  EXPECT_EQ(assembler.PendingGroups(), 0u);
+}
+
+/// A checksum-correct sentence whose fields are random: numeric-looking
+/// fragment fields (sometimes above 9 or negative), a random channel, and a
+/// payload drawn from the armouring alphabet or from any byte.
+std::string RandomSealedSentence(Rng& rng) {
+  auto number = [&rng]() -> std::string {
+    switch (rng.UniformInt(uint64_t{6})) {
+      case 0:
+        return "";
+      case 1:
+        return std::to_string(rng.UniformInt(int64_t{-3}, int64_t{0}));
+      case 2:
+        return std::to_string(rng.UniformInt(int64_t{10}, int64_t{99'999}));
+      default:
+        return std::to_string(rng.UniformInt(int64_t{1}, int64_t{9}));
+    }
+  };
+  std::string payload(rng.UniformInt(uint64_t{120}), '0');
+  const bool armoured = rng.UniformInt(uint64_t{4}) != 0;
+  for (char& c : payload) {
+    c = armoured ? static_cast<char>(48 + rng.UniformInt(uint64_t{64}) +
+                                     (rng.UniformInt(uint64_t{2}) * 8))
+                 : static_cast<char>(rng.UniformInt(uint64_t{256}));
+  }
+  std::string body = "AIVDM," + number() + "," + number() + "," + number() +
+                     "," + std::string(1, "AB1~"[rng.UniformInt(uint64_t{4})]) +
+                     "," + payload + "," +
+                     std::to_string(rng.UniformInt(int64_t{-1}, int64_t{9}));
+  return Reseal("!" + body);
+}
+
+TEST(AisCodecTest, SeededMutationFuzzNeverCrashes) {
+  // Byte flips, truncations, splices and checksum-correct garbage fed to
+  // every AIVDM entry point. Whatever is accepted must be self-consistent;
+  // everything else must fail cleanly. Seeded so a failure replays exactly.
+  Rng rng(0xA1D0F2u);
+  const TimeMicros t = TimeMicros{1635811200} * kMicrosPerSecond;
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 16; ++i) {
+    AisPosition p = MakeReport(
+        static_cast<Mmsi>(rng.UniformInt(int64_t{200000000},
+                                         int64_t{775999999})),
+        t, rng.Uniform(-85.0, 85.0), rng.Uniform(-179.9, 179.9),
+        rng.Uniform(0.0, 40.0), rng.Uniform(0.0, 359.9));
+    corpus.push_back(i % 2 == 0 ? AisCodec::EncodePosition(p)
+                                : AisCodec::EncodePositionClassB(p));
+    AisStatic s;
+    s.mmsi = p.mmsi;
+    s.name = "FUZZ " + std::to_string(i);
+    s.destination = "PORT";
+    for (std::string& fragment : AisCodec::EncodeStatic(s)) {
+      corpus.push_back(std::move(fragment));
+    }
+  }
+
+  AivdmAssembler assembler(8);
+  int decoded_positions = 0;
+  int decoded_statics = 0;
+  for (int iter = 0; iter < 160'000; ++iter) {
+    const std::string& base = corpus[rng.UniformInt(corpus.size())];
+    std::string mutated;
+    switch (rng.UniformInt(uint64_t{4})) {
+      case 0: {  // byte flips
+        mutated = base;
+        const int flips = 1 + static_cast<int>(rng.UniformInt(uint64_t{4}));
+        for (int f = 0; f < flips; ++f) {
+          mutated[rng.UniformInt(mutated.size())] =
+              static_cast<char>(rng.UniformInt(uint64_t{256}));
+        }
+        break;
+      }
+      case 1:  // truncation
+        mutated = base.substr(0, rng.UniformInt(base.size() + 1));
+        break;
+      case 2: {  // splice two corpus sentences at random cut points
+        const std::string& other = corpus[rng.UniformInt(corpus.size())];
+        mutated = base.substr(0, rng.UniformInt(base.size() + 1)) +
+                  other.substr(rng.UniformInt(other.size() + 1));
+        break;
+      }
+      default:
+        mutated = RandomSealedSentence(rng);
+        break;
+    }
+    if (rng.UniformInt(uint64_t{2}) == 0) mutated = Reseal(mutated);
+
+    StatusOr<AisPosition> position = AisCodec::DecodePosition(mutated, t);
+    if (position.ok()) {
+      ++decoded_positions;
+      EXPECT_LT(position->mmsi, Mmsi{1} << 30);
+      EXPECT_TRUE(std::isfinite(position->position.lat_deg));
+      EXPECT_TRUE(std::isfinite(position->position.lon_deg));
+    }
+    StatusOr<AisCodec::FragmentInfo> info =
+        AisCodec::ParseFragmentInfo(mutated);
+    if (info.ok()) {
+      EXPECT_GE(info->fragment_number, 1);
+      EXPECT_LE(info->fragment_number, info->fragment_count);
+      EXPECT_LE(info->fragment_count, 9);
+    }
+    StatusOr<std::vector<std::string>> group = assembler.Feed(mutated);
+    EXPECT_EQ(group.ok(), info.ok());
+    EXPECT_LE(assembler.PendingGroups(), 8u);
+    if (group.ok() && !group->empty()) {
+      for (const std::string& fragment : *group) EXPECT_FALSE(fragment.empty());
+      if (AisCodec::DecodeStatic(*group).ok()) ++decoded_statics;
+    }
+    // A mutated fragment paired with an intact one, in both orders.
+    const std::string& intact = corpus[rng.UniformInt(corpus.size())];
+    if (AisCodec::DecodeStatic({mutated, intact}).ok()) ++decoded_statics;
+    if (AisCodec::DecodeStatic({intact, mutated}).ok()) ++decoded_statics;
+  }
+  // The reseal step lets a share of mutations through to the decoders.
+  EXPECT_GT(decoded_positions, 0);
+  EXPECT_GT(decoded_statics, 0);
 }
 
 // ---------------------------------------------------------- Downsampler

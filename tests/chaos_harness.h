@@ -268,7 +268,7 @@ class ChaosCluster {
     std::unique_ptr<obs::MetricsRegistry> registry;
     /// Protocol time source; ChaosClock layers this node's fixed skew on
     /// top, so every timestamp the node emits is skew-adjusted.
-    std::unique_ptr<SimulatedClock> base_clock;
+    std::unique_ptr<VirtualClock> base_clock;
     std::unique_ptr<fault::ChaosClock> clock;
     std::shared_ptr<chk::DeterministicScheduler> sched;
     std::shared_ptr<cluster::Transport> transport;
@@ -371,7 +371,7 @@ class ChaosCluster {
       HarnessNode& node = nodes_[i];
       node.id = roster_[i];
       node.registry = std::make_unique<obs::MetricsRegistry>();
-      node.base_clock = std::make_unique<SimulatedClock>(kT0);
+      node.base_clock = std::make_unique<VirtualClock>(kT0);
       node.clock = std::make_unique<fault::ChaosClock>(
           node.base_clock.get(), injector_.ClockSkewFor(node.id));
       StartNode(node);
@@ -446,7 +446,7 @@ class ChaosCluster {
   void TickAll(TimeMicros now) {
     for (HarnessNode& node : nodes_) {
       if (!node.alive()) continue;
-      node.base_clock->Set(now);
+      node.base_clock->AdvanceTo(now);
       node.node->Tick(node.clock->Now());
     }
     for (HarnessNode& node : nodes_) {

@@ -6,6 +6,7 @@
 // CI; the duplicate-delivery and epoch invariants only bite in checked
 // builds).
 
+#include <algorithm>
 #include <any>
 #include <atomic>
 #include <chrono>
@@ -826,6 +827,89 @@ TEST(ClusterStatusTest, StatusJsonReportsMembersAndRegions) {
   EXPECT_NE(json.find("\"num_shards\":64"), std::string::npos) << json;
 
   n2.node->Shutdown();
+  n1.node->Shutdown();
+}
+
+TEST(ClusterUntrustedFrameTest, UnassignedFrameTypesFromAKnownPeerAreDropped) {
+  // FrameDecoder accepts any type byte, so a known peer can still send
+  // types the protocol never assigned (0, the retired 7/8, 255). The node
+  // must drop them without touching membership or the ring, and keep
+  // answering heartbeats.
+  chk::ScopedViolationRecorder violations;
+  InProcessHub hub;
+  DeliveryLog log;
+  TestNode n1(1, {1, 2}, &hub, &log);
+  std::mutex acks_mu;
+  std::vector<uint64_t> acks;
+  InProcessTransport peer(&hub);
+  ASSERT_TRUE(peer.Start(2, [&](const Frame& frame) {
+                    if (frame.type != FrameType::kHeartbeatAck) return;
+                    std::lock_guard<std::mutex> lock(acks_mu);
+                    acks.push_back(frame.seq);
+                  })
+                  .ok());
+  auto heartbeat = [&](TimeMicros now) {
+    Frame frame;
+    frame.type = FrameType::kHeartbeat;
+    frame.src = 2;
+    frame.seq = static_cast<uint64_t>(now);
+    ASSERT_TRUE(peer.Send(1, frame));
+  };
+
+  heartbeat(kT0);
+  n1.node->Tick(kT0);
+  ASSERT_EQ(n1.node->membership().UpNodes(), (std::vector<NodeId>{1, 2}));
+  const uint64_t epoch = n1.node->membership().epoch();
+  std::vector<NodeId> owners;
+  for (int shard = 0; shard < 64; ++shard) {
+    owners.push_back(n1.region->OwnerOfShard(shard));
+  }
+  ASSERT_NE(std::count(owners.begin(), owners.end(), NodeId{2}), 0);
+
+  WireWriter region_like;  // shaped like a routed envelope's header
+  region_like.PutString16("vessel");
+  region_like.PutU32(3);
+  region_like.PutU64(epoch);
+  const std::vector<std::string> payloads = {
+      "", std::string(1, '\xff'), region_like.Take(),
+      std::string(4096, '\x07')};
+  for (const uint8_t type : {uint8_t{0}, uint8_t{7}, uint8_t{8},
+                             uint8_t{255}}) {
+    for (const std::string& payload : payloads) {
+      Frame frame;
+      frame.type = static_cast<FrameType>(type);
+      frame.src = 2;
+      frame.seq = 0xdeadbeefull;
+      frame.payload = payload;
+      // Through the codec first: the decoder hands the type byte through.
+      FrameDecoder decoder;
+      const std::string wire = EncodeFrame(frame);
+      decoder.Feed(wire.data(), wire.size());
+      Frame decoded;
+      ASSERT_TRUE(decoder.Next(&decoded));
+      ASSERT_EQ(static_cast<uint8_t>(decoded.type), type);
+      EXPECT_TRUE(peer.Send(1, decoded));
+    }
+  }
+  n1.node->system().AwaitQuiescence();
+
+  EXPECT_EQ(n1.node->membership().epoch(), epoch);
+  EXPECT_EQ(n1.node->membership().UpNodes(), (std::vector<NodeId>{1, 2}));
+  for (int shard = 0; shard < 64; ++shard) {
+    EXPECT_EQ(n1.region->OwnerOfShard(shard), owners[shard]) << shard;
+  }
+  EXPECT_EQ(log.TotalDeliveries(), 0u);
+
+  heartbeat(kT0 + kBeat);
+  {
+    std::lock_guard<std::mutex> lock(acks_mu);
+    ASSERT_FALSE(acks.empty());
+    EXPECT_EQ(acks.back(), static_cast<uint64_t>(kT0 + kBeat));
+  }
+  EXPECT_EQ(n1.node->membership().epoch(), epoch);
+  EXPECT_EQ(violations.count(), 0);
+
+  peer.Shutdown();
   n1.node->Shutdown();
 }
 

@@ -107,31 +107,6 @@ TEST(VirtualClockTest, MonotonicUnderConcurrentAdvancers) {
   EXPECT_EQ(clock.Now(), kThreads * kPerThread);
 }
 
-TEST(SimulatedClockTest, MonotonicUnderConcurrentAdvance) {
-  SimulatedClock clock(0);
-  std::atomic<bool> stop{false};
-  std::atomic<bool> violated{false};
-  std::thread reader([&] {
-    TimeMicros last = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      const TimeMicros now = clock.Now();
-      if (now < last) violated.store(true, std::memory_order_release);
-      last = now;
-    }
-  });
-  std::vector<std::thread> advancers;
-  for (int t = 0; t < 4; ++t) {
-    advancers.emplace_back([&clock] {
-      for (int i = 0; i < 20'000; ++i) clock.Advance(3);
-    });
-  }
-  for (std::thread& thread : advancers) thread.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_FALSE(violated.load());
-  EXPECT_EQ(clock.Now(), 4 * 20'000 * 3);
-}
-
 TEST(StopwatchTest, MeasuresInjectedVirtualTime) {
   VirtualClock clock(1'000'000);
   Stopwatch stopwatch(&clock);

@@ -222,12 +222,12 @@ TEST(KvStoreEdgeTest, HSetOverStringAfterSetSucceedsWhenDeleted) {
 }
 
 TEST(KvStoreEdgeTest, SnapshotExcludesExpired) {
-  SimulatedClock clock(0);
+  VirtualClock clock(0);
   KvStore store(&clock);
   store.Set("live", "1");
   store.Set("dead", "2");
   store.Expire("dead", 10);
-  clock.Advance(20);
+  clock.AdvanceTo(clock.Now() + 20);
   const auto snapshot = store.Snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot[0].first, "live");

@@ -354,12 +354,12 @@ TEST(ChaosHubTest, UnregisteredPeerDrainsParkedFramesHarmlessly) {
 // ------------------------------------------------------------------ clock
 
 TEST(ChaosClockTest, AppliesFixedSkew) {
-  SimulatedClock base(1'000'000);
+  VirtualClock base(1'000'000);
   ChaosClock ahead(&base, 250);
   ChaosClock behind(&base, -250);
   EXPECT_EQ(ahead.Now(), 1'000'250);
   EXPECT_EQ(behind.Now(), 999'750);
-  base.Advance(1'000);
+  base.AdvanceTo(base.Now() + 1'000);
   EXPECT_EQ(ahead.Now(), 1'001'250);
   EXPECT_EQ(behind.Now(), 1'000'750);
 }

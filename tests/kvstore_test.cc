@@ -65,15 +65,15 @@ TEST(KvStoreTest, SetOverwritesHash) {
 }
 
 TEST(KvStoreTest, TtlExpiryWithSimulatedClock) {
-  SimulatedClock clock(0);
+  VirtualClock clock(0);
   KvStore store(&clock);
   store.Set("a", "1");
   EXPECT_TRUE(store.Expire("a", 100));
   EXPECT_TRUE(store.Exists("a"));
   EXPECT_EQ(*store.Ttl("a"), 100);
-  clock.Advance(99);
+  clock.AdvanceTo(clock.Now() + 99);
   EXPECT_TRUE(store.Exists("a"));
-  clock.Advance(1);
+  clock.AdvanceTo(clock.Now() + 1);
   EXPECT_FALSE(store.Exists("a"));
   EXPECT_FALSE(store.Get("a").ok());
   EXPECT_FALSE(store.Ttl("a").has_value());
@@ -85,12 +85,12 @@ TEST(KvStoreTest, ExpireMissingKeyFalse) {
 }
 
 TEST(KvStoreTest, SetClearsTtl) {
-  SimulatedClock clock(0);
+  VirtualClock clock(0);
   KvStore store(&clock);
   store.Set("a", "1");
   store.Expire("a", 100);
   store.Set("a", "2");  // fresh value: TTL cleared
-  clock.Advance(200);
+  clock.AdvanceTo(clock.Now() + 200);
   EXPECT_TRUE(store.Exists("a"));
 }
 
@@ -101,24 +101,24 @@ TEST(KvStoreTest, TtlNulloptWithoutExpiry) {
 }
 
 TEST(KvStoreTest, SizeCountsLiveKeysOnly) {
-  SimulatedClock clock(0);
+  VirtualClock clock(0);
   KvStore store(&clock);
   store.Set("a", "1");
   store.Set("b", "2");
   store.Expire("b", 10);
   EXPECT_EQ(store.Size(), 2u);
-  clock.Advance(20);
+  clock.AdvanceTo(clock.Now() + 20);
   EXPECT_EQ(store.Size(), 1u);
 }
 
 TEST(KvStoreTest, PurgeExpiredRemovesPhysically) {
-  SimulatedClock clock(0);
+  VirtualClock clock(0);
   KvStore store(&clock);
   for (int i = 0; i < 10; ++i) {
     store.Set("k" + std::to_string(i), "v");
     if (i % 2 == 0) store.Expire("k" + std::to_string(i), 10);
   }
-  clock.Advance(20);
+  clock.AdvanceTo(clock.Now() + 20);
   EXPECT_EQ(store.PurgeExpired(), 5u);
   EXPECT_EQ(store.Size(), 5u);
 }
@@ -197,11 +197,11 @@ TEST(KvStoreTest, ConcurrentHashFieldWrites) {
 // ------------------------------------------------------------ TTL edges
 
 TEST(KvStoreTest, DelAtExactExpiryBoundaryReturnsFalse) {
-  SimulatedClock clock(0);
+  VirtualClock clock(0);
   KvStore store(&clock);
   store.Set("a", "1");
   store.Expire("a", 100);
-  clock.Set(100);  // expires_at <= now: the key is dead at the boundary
+  clock.AdvanceTo(100);  // expires_at <= now: the key is dead at the boundary
   EXPECT_FALSE(store.Del("a"));
   // The entry was still physically erased, so a second Del finds nothing.
   EXPECT_FALSE(store.Del("a"));
@@ -211,25 +211,25 @@ TEST(KvStoreTest, DelAtExactExpiryBoundaryReturnsFalse) {
 }
 
 TEST(KvStoreTest, ExistsAtExactExpiryBoundary) {
-  SimulatedClock clock(0);
+  VirtualClock clock(0);
   KvStore store(&clock);
   store.Set("a", "1");
   store.Expire("a", 100);
-  clock.Set(99);
+  clock.AdvanceTo(99);
   EXPECT_TRUE(store.Exists("a"));  // one microsecond before the deadline
-  clock.Set(100);
+  clock.AdvanceTo(100);
   EXPECT_FALSE(store.Exists("a"));  // at the deadline: expired, not live
   EXPECT_FALSE(store.Del("a"));     // Del agrees with Exists at the boundary
 }
 
 TEST(KvStoreTest, DelOfLiveTtlKeyReturnsTrueAndClearsIt) {
-  SimulatedClock clock(0);
+  VirtualClock clock(0);
   KvStore store(&clock);
   store.Set("a", "1");
   store.Expire("a", 100);
-  clock.Set(99);
+  clock.AdvanceTo(99);
   EXPECT_TRUE(store.Del("a"));  // still live: a real deletion
-  clock.Set(100);
+  clock.AdvanceTo(100);
   EXPECT_FALSE(store.Exists("a"));
   EXPECT_FALSE(store.Del("a"));
 }
@@ -253,7 +253,7 @@ class TickingClock : public Clock {
 
 TEST(KvStoreTest, SnapshotIsAtomicWhileKeysExpireMidIteration) {
   // Seed keys under a paused clock, each with a staggered deadline.
-  SimulatedClock seed_clock(0);
+  VirtualClock seed_clock(0);
   KvStore store(&seed_clock);
   constexpr int kKeys = 64;  // >= shard count, so every shard is visited
   for (int i = 0; i < kKeys; ++i) {
@@ -280,14 +280,14 @@ TEST(KvStoreTest, SnapshotIsAtomicWhileKeysExpireMidIteration) {
 }
 
 TEST(KvStoreTest, SnapshotExcludesExpiredButKeepsLaterDeadlines) {
-  SimulatedClock clock(0);
+  VirtualClock clock(0);
   KvStore store(&clock);
   store.Set("early", "1");
   store.Expire("early", 100);
   store.Set("late", "2");
   store.Expire("late", 200);
   store.Set("forever", "3");
-  clock.Set(150);
+  clock.AdvanceTo(150);
   auto snapshot = store.Snapshot();
   ASSERT_EQ(snapshot.size(), 2u);
   EXPECT_EQ(snapshot[0].first, "forever");

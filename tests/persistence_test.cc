@@ -39,7 +39,7 @@ TEST(FileTest, AtomicWriteReplacesExisting) {
 // --------------------------------------------------------- KvStore dump
 
 TEST(KvStoreDumpTest, RoundTripStringsAndHashes) {
-  SimulatedClock clock(1000);
+  VirtualClock clock(1000);
   KvStore store(&clock);
   store.Set("plain", "value with spaces\nand newline");
   store.Set("ttl", "soon");
@@ -56,19 +56,19 @@ TEST(KvStoreDumpTest, RoundTripStringsAndHashes) {
   EXPECT_EQ(*restored.HGet("hash", "f|2"), "v 2");
   EXPECT_EQ(restored.Size(), 3u);
   // TTL deadline survives the round trip.
-  clock.Advance(10000);
+  clock.AdvanceTo(clock.Now() + 10000);
   EXPECT_FALSE(restored.Exists("ttl"));
   EXPECT_TRUE(restored.Exists("plain"));
 }
 
 TEST(KvStoreDumpTest, RestoreSkipsAlreadyExpired) {
-  SimulatedClock clock(0);
+  VirtualClock clock(0);
   KvStore store(&clock);
   store.Set("gone", "x");
   store.Expire("gone", 100);
   store.Set("kept", "y");
   const std::string dump = store.Dump();
-  clock.Advance(200);
+  clock.AdvanceTo(clock.Now() + 200);
   KvStore restored(&clock);
   ASSERT_TRUE(restored.Restore(dump).ok());
   EXPECT_FALSE(restored.Exists("gone"));

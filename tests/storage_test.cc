@@ -1,8 +1,7 @@
 // src/storage unit, property, and fuzz tests: CRC-framed record codec
 // (random round-trips, truncation sweeps, bit flips, garbage corpora),
 // segment/partition-log recovery with torn tails, prefix compaction,
-// atomic snapshots, the broker's durable seam, the journaled kvstore, and
-// the quorum replication state machine.
+// atomic snapshots, the broker's durable seam, and the journaled kvstore.
 
 #include <algorithm>
 #include <cstdio>
@@ -18,7 +17,11 @@
 #include "fault/fault.h"
 #include "kvstore/durable_kvstore.h"
 #include "obs/metrics.h"
-#include "storage/storage.h"
+#include "storage/crc32.h"
+#include "storage/log_storage.h"
+#include "storage/partition_log.h"
+#include "storage/record_io.h"
+#include "storage/snapshot.h"
 #include "stream/broker.h"
 #include "util/clock.h"
 #include "util/file.h"
@@ -321,95 +324,6 @@ TEST(PartitionLogTest, RollsSegmentsAndCompactsPrefix) {
   fs::remove_all(dir);
 }
 
-TEST(PartitionLogTest, TruncateSuffixCutsAcrossSegmentsAndResumesAppends) {
-  const std::string dir = TestDir("truncsuffix");
-  PartitionLog::Options options;
-  options.sync = PartitionLog::SyncMode::kNone;
-  options.segment_bytes = 512;  // force rolls every handful of records
-  auto log = PartitionLog::Open(dir, options);
-  ASSERT_TRUE(log.ok());
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE((*log)->Append(i, "key" + std::to_string(i),
-                               std::string(40, 'x'))
-                    .ok());
-  }
-  ASSERT_GT((*log)->segment_count(), 3u);
-  // Cut inside a later segment: the records above it vanish, appends resume
-  // at the cut.
-  ASSERT_TRUE((*log)->TruncateSuffix(120).ok());
-  EXPECT_EQ((*log)->end_offset(), 120);
-  auto tail = (*log)->Read(115, 100);
-  ASSERT_TRUE(tail.ok());
-  ASSERT_EQ(tail->size(), 5u);
-  EXPECT_EQ(tail->back().key, "key119");
-  auto offset = (*log)->Append(999, "replacement", "r");
-  ASSERT_TRUE(offset.ok());
-  EXPECT_EQ(*offset, 120);
-  // Cut below every later segment's base: whole segments are deleted and a
-  // sealed one becomes the append target again.
-  ASSERT_TRUE((*log)->TruncateSuffix(50).ok());
-  EXPECT_EQ((*log)->end_offset(), 50);
-  offset = (*log)->Append(1000, "after-cut", "r");
-  ASSERT_TRUE(offset.ok());
-  EXPECT_EQ(*offset, 50);
-  // Truncating below the retained range is refused; at/past the end is a
-  // no-op.
-  EXPECT_FALSE((*log)->TruncateSuffix(-1).ok());
-  EXPECT_TRUE((*log)->TruncateSuffix(51).ok());
-  EXPECT_EQ((*log)->end_offset(), 51);
-  // The truncated log recovers to exactly the retained records.
-  log->reset();
-  auto reopened = PartitionLog::Open(dir, options);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->end_offset(), 51);
-  auto records = (*reopened)->Read(0, 1000);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 51u);
-  EXPECT_EQ(records->back().key, "after-cut");
-  fs::remove_all(dir);
-}
-
-TEST(PartitionLogTest, TruncateWithinFreshActiveSegmentLeavesNoHole) {
-  // Regression: a segment created this process holds a positional ("wb")
-  // write handle. Truncating it and appending through the stale handle used
-  // to leave a zero-filled hole at the cut — the in-memory end advanced but
-  // the CRC scan (and recovery) stopped at the hole. The post-truncate
-  // records must be readable in the SAME process, without a reopen.
-  const std::string dir = TestDir("truncfresh");
-  PartitionLog::Options options;
-  options.sync = PartitionLog::SyncMode::kNone;
-  auto log = PartitionLog::Open(dir, options);
-  ASSERT_TRUE(log.ok());
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        (*log)->Append(i, "k" + std::to_string(i), "old" + std::to_string(i))
-            .ok());
-  }
-  ASSERT_TRUE((*log)->TruncateSuffix(5).ok());
-  for (int i = 5; i < 8; ++i) {
-    auto offset =
-        (*log)->Append(100 + i, "k" + std::to_string(i), "new" + std::to_string(i));
-    ASSERT_TRUE(offset.ok());
-    EXPECT_EQ(*offset, i);
-  }
-  auto records = (*log)->Read(0, 100);
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 8u);
-  EXPECT_EQ((*records)[4].value, "old4");
-  EXPECT_EQ((*records)[5].value, "new5");
-  EXPECT_EQ((*records)[7].value, "new7");
-  // And recovery sees the same stream.
-  log->reset();
-  auto reopened = PartitionLog::Open(dir, options);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->end_offset(), 8);
-  auto recovered = (*reopened)->Read(0, 100);
-  ASSERT_TRUE(recovered.ok());
-  ASSERT_EQ(recovered->size(), 8u);
-  EXPECT_EQ((*recovered)[5].value, "new5");
-  fs::remove_all(dir);
-}
-
 TEST(PartitionLogTest, MidLogCorruptionFailsClosedOrQuarantinesExplicitly) {
   const std::string dir = TestDir("midlogcorrupt");
   PartitionLog::Options options;
@@ -631,7 +545,7 @@ std::string CanonicalDump(const KvStore& kv) {
 
 TEST(DurableKvStoreTest, CheckpointThenRecoverIsByteEqual) {
   const std::string dir = TestDir("kv");
-  SimulatedClock clock(1'000'000);
+  VirtualClock clock(1'000'000);
   DurableKvStore::Options options;
   options.clock = &clock;
   std::string dump_before;
@@ -664,7 +578,7 @@ TEST(DurableKvStoreTest, CheckpointThenRecoverIsByteEqual) {
 
 TEST(DurableKvStoreTest, TtlExpiryUnderTickingChaosClockRestoresByteEqual) {
   const std::string dir = TestDir("kvttl");
-  SimulatedClock base(1'000'000);
+  VirtualClock base(1'000'000);
   fault::ChaosClock clock(&base, /*skew=*/250);  // skewed, like a chaos node
   DurableKvStore::Options options;
   options.clock = &clock;
@@ -677,9 +591,11 @@ TEST(DurableKvStoreTest, TtlExpiryUnderTickingChaosClockRestoresByteEqual) {
     EXPECT_TRUE((*kv)->Expire("fleeting", 10'000));
     (*kv)->Set("longer", "still-here");
     EXPECT_TRUE((*kv)->Expire("longer", 900'000));
-    base.Advance(5'000);  // "fleeting" still live, in flight toward expiry
+    // "fleeting" still live, in flight toward expiry.
+    base.AdvanceTo(base.Now() + 5'000);
     ASSERT_TRUE((*kv)->Checkpoint().ok());
-    base.Advance(20'000);  // "fleeting" expires after the checkpoint
+    // "fleeting" expires after the checkpoint.
+    base.AdvanceTo(base.Now() + 20'000);
     (*kv)->Set("late", "post-snapshot");
     ASSERT_TRUE((*kv)->Flush().ok());
     dump_before = CanonicalDump((*kv)->store());
@@ -701,7 +617,7 @@ TEST(DurableKvStoreTest, TtlExpiryUnderTickingChaosClockRestoresByteEqual) {
 
 TEST(DurableKvStoreTest, TornWalTailRecoversThePrefix) {
   const std::string dir = TestDir("kvtorn");
-  SimulatedClock clock(1'000'000);
+  VirtualClock clock(1'000'000);
   DurableKvStore::Options options;
   options.clock = &clock;
   {
@@ -767,100 +683,6 @@ TEST(DurableKvStoreTest, ConcurrentWritersToOneKeyRecoverTheObservedValue) {
   ASSERT_TRUE(solo.ok());
   EXPECT_EQ(*solo, "249");
   fs::remove_all(dir);
-}
-
-// -- ReplicatedPartition state machine ------------------------------------
-
-TEST(ReplicatedPartitionTest, QuorumCommitArithmetic) {
-  ReplicatedPartition partition(0);
-  ASSERT_TRUE(partition.BecomeLeader(1, {2, 3}));
-  partition.SetLocalEnd(10);
-  partition.MarkShipped(2, 1, 10);
-  partition.MarkShipped(3, 1, 10);
-  EXPECT_EQ(partition.committed(), 0);  // no acks: quorum of 3 is 2
-  EXPECT_EQ(partition.ReplicationLag(), 10);
-  EXPECT_TRUE(partition.OnAck(2, 1, 4));
-  EXPECT_EQ(partition.committed(), 4);  // {10, 4, 0} second-highest
-  EXPECT_TRUE(partition.OnAck(3, 1, 7));
-  EXPECT_EQ(partition.committed(), 7);  // {10, 4, 7} second-highest
-  EXPECT_TRUE(partition.OnAck(2, 1, 10));
-  EXPECT_EQ(partition.committed(), 10);
-  EXPECT_EQ(partition.ReplicationLag(), 3);  // slowest (3) at 7
-  // Acks never regress and are clamped to the shipped end.
-  EXPECT_TRUE(partition.OnAck(3, 1, 2));
-  EXPECT_EQ(partition.committed(), 10);
-  EXPECT_TRUE(partition.OnAck(3, 1, 99));
-  EXPECT_EQ(partition.ReplicationLag(), 0);
-}
-
-TEST(ReplicatedPartitionTest, AckIsCreditedOnlyUpToTheShippedEnd) {
-  // A rejoined replica may hold a divergent uncommitted suffix and ack its
-  // own log end; without the shipped ceiling that ack would "commit"
-  // offsets where it stores different bytes.
-  ReplicatedPartition partition(0);
-  ASSERT_TRUE(partition.BecomeLeader(7, {2}));
-  partition.SetLocalEnd(10);
-  // Nothing shipped yet: the ack is accepted but earns zero credit.
-  EXPECT_TRUE(partition.OnAck(2, 7, 10));
-  EXPECT_EQ(partition.committed(), 0);
-  // Credit follows replicate round-trips, never the follower's claim.
-  partition.MarkShipped(2, 7, 4);
-  EXPECT_TRUE(partition.OnAck(2, 7, 10));
-  EXPECT_EQ(partition.committed(), 4);
-  partition.MarkShipped(2, 7, 10);
-  EXPECT_TRUE(partition.OnAck(2, 7, 10));
-  EXPECT_EQ(partition.committed(), 10);
-  // Shipped marks are epoch-scoped and clamped to the leader's own log.
-  partition.MarkShipped(2, 6, 99);
-  partition.MarkShipped(2, 7, 99);
-  EXPECT_TRUE(partition.OnAck(2, 7, 99));
-  EXPECT_EQ(partition.committed(), 10);
-  // A new epoch resets shipped progress: the old credit is inert.
-  ASSERT_TRUE(partition.BecomeLeader(8, {2}));
-  partition.SetLocalEnd(12);
-  EXPECT_TRUE(partition.OnAck(2, 8, 12));
-  EXPECT_EQ(partition.committed(), 10);  // monotone carry, no new credit
-}
-
-TEST(ReplicatedPartitionTest, EpochGuardsRejectStaleActors) {
-  ReplicatedPartition partition(3);
-  ASSERT_TRUE(partition.BecomeLeader(5, {2}));
-  partition.SetLocalEnd(6);
-  partition.MarkShipped(2, 5, 6);
-  EXPECT_FALSE(partition.BecomeLeader(4, {2, 3}));  // stale election
-  EXPECT_FALSE(partition.OnAck(2, 4, 6));           // stale ack
-  EXPECT_EQ(partition.committed(), 0);
-  EXPECT_TRUE(partition.OnAck(2, 5, 6));
-  EXPECT_EQ(partition.committed(), 6);
-  // Follower side: only the current epoch's leader may replicate.
-  ReplicatedPartition follower(3);
-  ASSERT_TRUE(follower.BecomeFollower(5, 1));
-  EXPECT_TRUE(follower.AcceptReplicate(1, 5));
-  EXPECT_FALSE(follower.AcceptReplicate(1, 4));  // superseded leader
-  EXPECT_FALSE(follower.AcceptReplicate(2, 5));  // impostor
-  EXPECT_FALSE(follower.BecomeFollower(4, 2));   // stale demotion ignored
-  EXPECT_EQ(follower.leader(), 1u);
-}
-
-TEST(ReplicatedPartitionTest, FailoverKeepsCommitMonotone) {
-  // Node A leads at epoch 1, commits to 8 with follower B's ack.
-  ReplicatedPartition a(0);
-  ASSERT_TRUE(a.BecomeLeader(1, {2}));
-  a.SetLocalEnd(8);
-  a.MarkShipped(2, 1, 8);
-  EXPECT_TRUE(a.OnAck(2, 1, 8));
-  EXPECT_EQ(a.committed(), 8);
-  // A loses leadership, then is re-elected at a higher epoch with a fresh
-  // follower set and no acks yet: the committed offset must hold at 8, not
-  // reset (majority intersection guarantees the new leader has the data).
-  ASSERT_TRUE(a.BecomeFollower(2, 3));
-  ASSERT_TRUE(a.BecomeLeader(3, {3}));
-  a.SetLocalEnd(8);
-  EXPECT_EQ(a.committed(), 8);
-  a.SetLocalEnd(12);
-  a.MarkShipped(3, 3, 12);
-  EXPECT_TRUE(a.OnAck(3, 3, 12));
-  EXPECT_EQ(a.committed(), 12);
 }
 
 }  // namespace
