@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "actor/actor_system.h"
@@ -125,6 +127,39 @@ void BM_KvStoreHSet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KvStoreHSet);
+
+// One 6-field vessel state per iteration, cycling over 5K keys: written as
+// one multi-field HSet (calls:1, the writer actor's path) or as six
+// single-field HSets (calls:6). Both build the same field/value strings.
+void BM_KvStoreHSetFields(benchmark::State& state) {
+  constexpr int kKeys = 5000;
+  const bool one_call = state.range(0) == 1;
+  KvStore store;
+  std::vector<std::string> keys;
+  for (int k = 0; k < kKeys; ++k) {
+    keys.push_back("vessel:" + std::to_string(237000000 + k));
+  }
+  int i = 0;
+  for (auto _ : state) {
+    const std::string& key = keys[i % kKeys];
+    KvStore::FieldValue fields[] = {
+        {"lat", "37.951234"}, {"lon", "23.654321"},
+        {"sog", "12.3"},      {"cog", "271.5"},
+        {"ts", std::to_string(1700000000000000LL + i)},
+        {"name", "MARLIN STAR"}};
+    if (one_call) {
+      benchmark::DoNotOptimize(store.HSet(key, fields));
+    } else {
+      for (KvStore::FieldValue& pair : fields) {
+        benchmark::DoNotOptimize(
+            store.HSet(key, pair.field, std::move(pair.value)));
+      }
+    }
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvStoreHSetFields)->ArgName("calls")->Arg(1)->Arg(6);
 
 void BM_BrokerAppend(benchmark::State& state) {
   Broker broker;

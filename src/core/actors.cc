@@ -1,6 +1,9 @@
 #include "core/actors.h"
 
+#include <cfloat>
+#include <charconv>
 #include <cstdio>
+#include <span>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -10,6 +13,33 @@
 
 namespace marlin {
 namespace {
+
+/// Longest fixed rendering of a double with at most 6 decimals: sign, the
+/// DBL_MAX_10_EXP + 1 integer digits of DBL_MAX, point and decimals.
+constexpr size_t kMaxFixedChars = 1 + (DBL_MAX_10_EXP + 1) + 1 + 6;
+
+/// Appends `value` as printf("%.<precision>f") renders it in the "C" locale
+/// (nan, inf and -0 included), which std::to_chars guarantees. `precision`
+/// is at most 6.
+void AppendFixed(double value, int precision, std::string* out) {
+  char buf[kMaxFixedChars];
+  const std::to_chars_result result = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::fixed, precision);
+  out->append(buf, result.ptr);
+}
+
+void AppendInteger(int64_t value, std::string* out) {
+  char buf[20];  // "-9223372036854775808"
+  const std::to_chars_result result =
+      std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, result.ptr);
+}
+
+std::string FormatFixed(double value, int precision) {
+  std::string out;
+  AppendFixed(value, precision, &out);
+  return out;
+}
 
 /// Routes an event to the writer and (optionally) back to the two affected
 /// vessel actors, per the state feedback loop of §3.
@@ -130,6 +160,7 @@ Status VesselActor::HandlePosition(const AisPosition& report,
   // HandleForecastResult. Falls back to the inline forecast when batching
   // is off or the batcher applies backpressure.
   bool submitted = false;
+  bool forecast_inline = false;
   if (accepted && history_.Ready()) {
     const SvrfInput input = history_.MakeInput();
     InferenceBatcher* batcher = pipeline_->batcher;
@@ -170,11 +201,12 @@ Status VesselActor::HandlePosition(const AisPosition& report,
         has_forecast_ = true;
         pipeline_->forecasts_generated.fetch_add(1, std::memory_order_relaxed);
         PublishForecast(latest_forecast_, ctx);
+        forecast_inline = true;
       }
     }
   }
 
-  PublishState(report, ctx);
+  PublishState(report, forecast_inline, ctx);
 
   const int64_t total_nanos = stopwatch.ElapsedNanos() + ingest_cost_nanos;
   if (submitted) {
@@ -211,7 +243,7 @@ Status VesselActor::HandleForecastResult(const ForecastResultMsg& result,
     pipeline_->forecasts_generated.fetch_add(1, std::memory_order_relaxed);
     PublishForecast(latest_forecast_, ctx);
     // Refresh the writer's view now that the forecast exists.
-    PublishState(latest_report_, ctx);
+    PublishState(latest_report_, /*new_forecast=*/true, ctx);
   }
   // Complete the Figure-6 measurement for the originating message: its
   // synchronous share, its slice of the batched forward, and this fan-out.
@@ -250,11 +282,11 @@ void VesselActor::PublishForecast(const ForecastTrajectory& trajectory,
   }
 }
 
-void VesselActor::PublishState(const AisPosition& report, ActorContext& ctx) {
+void VesselActor::PublishState(const AisPosition& report, bool new_forecast,
+                               ActorContext& ctx) {
   VesselStateMsg state;
   state.latest = report;
-  state.has_forecast = has_forecast_;
-  if (has_forecast_) state.forecast = latest_forecast_;
+  if (new_forecast) state.forecast = latest_forecast_;
   ctx.system().Tell(pipeline_->WriterFor(mmsi_), std::move(state), ctx.self());
 }
 
@@ -437,81 +469,78 @@ Status WriterActor::Receive(const std::any& message, ActorContext& ctx) {
 
 void WriterActor::WriteVesselState(const VesselStateMsg& state) {
   obs::ScopedTimer write_timer(pipeline_->stage_write);
-  const std::string key = "vessel:" + std::to_string(state.latest.mmsi);
-  KvStore* store = pipeline_->store;
-  char buf[64];
-  // Dedicated forecast output stream (§7), keyed by MMSI.
-  if (pipeline_->config->publish_output_topics && state.has_forecast) {
-    std::string record = std::to_string(state.latest.mmsi);
-    for (const ForecastPoint& point : state.forecast.points) {
-      std::snprintf(buf, sizeof(buf), ";%.6f,%.6f,%lld",
-                    point.position.lat_deg, point.position.lon_deg,
-                    static_cast<long long>(point.time));
-      record += buf;
-    }
-    (void)pipeline_->broker->Append(pipeline_->config->forecasts_topic,
-                                    std::to_string(state.latest.mmsi),
-                                    std::move(record),
-                                    state.latest.timestamp);
-  }
-  std::snprintf(buf, sizeof(buf), "%.6f", state.latest.position.lat_deg);
-  (void)store->HSet(key, "lat", buf);
-  std::snprintf(buf, sizeof(buf), "%.6f", state.latest.position.lon_deg);
-  (void)store->HSet(key, "lon", buf);
-  std::snprintf(buf, sizeof(buf), "%.1f", state.latest.sog_knots);
-  (void)store->HSet(key, "sog", buf);
-  std::snprintf(buf, sizeof(buf), "%.1f", state.latest.cog_deg);
-  (void)store->HSet(key, "cog", buf);
-  (void)store->HSet(key, "ts", std::to_string(state.latest.timestamp));
+  const AisPosition& latest = state.latest;
+  const std::string mmsi = std::to_string(latest.mmsi);
+  // Five report fields, then name and type, then forecast.
+  KvStore::FieldValue fields[8] = {
+      {"lat", FormatFixed(latest.position.lat_deg, 6)},
+      {"lon", FormatFixed(latest.position.lon_deg, 6)},
+      {"sog", FormatFixed(latest.sog_knots, 1)},
+      {"cog", FormatFixed(latest.cog_deg, 1)},
+      {"ts", std::to_string(latest.timestamp)}};
+  size_t count = 5;
   // Static-data fusion (§3): enrich the published state with the cached
   // registry record.
   if (pipeline_->registry != nullptr) {
-    if (const AisStatic* info = pipeline_->registry->Find(state.latest.mmsi)) {
-      (void)store->HSet(key, "name", info->name);
-      (void)store->HSet(key, "type",
-                        std::string(VesselTypeName(info->type)));
+    if (const AisStatic* info = pipeline_->registry->Find(latest.mmsi)) {
+      fields[count++] = {"name", info->name};
+      fields[count++] = {"type", std::string(VesselTypeName(info->type))};
     }
   }
-  if (state.has_forecast) {
+  if (state.forecast.has_value()) {
+    // Rendered once as "lat,lon,t;" per point.
     std::string forecast;
-    for (const ForecastPoint& point : state.forecast.points) {
-      std::snprintf(buf, sizeof(buf), "%.6f,%.6f,%lld;",
-                    point.position.lat_deg, point.position.lon_deg,
-                    static_cast<long long>(point.time));
-      forecast += buf;
+    for (const ForecastPoint& point : state.forecast->points) {
+      AppendFixed(point.position.lat_deg, 6, &forecast);
+      forecast += ',';
+      AppendFixed(point.position.lon_deg, 6, &forecast);
+      forecast += ',';
+      AppendInteger(point.time, &forecast);
+      forecast += ';';
     }
-    (void)store->HSet(key, "forecast", std::move(forecast));
+    // Dedicated forecast output stream (§7), keyed by MMSI: one record per
+    // forecast, "mmsi;lat,lon,t;...;lat,lon,t".
+    if (pipeline_->config->publish_output_topics) {
+      std::string record = mmsi;
+      if (!forecast.empty()) {
+        record += ';';
+        record.append(forecast, 0, forecast.size() - 1);
+      }
+      (void)pipeline_->broker->Append(pipeline_->config->forecasts_topic, mmsi,
+                                      std::move(record), latest.timestamp);
+    }
+    fields[count++] = {"forecast", std::move(forecast)};
   }
+  (void)pipeline_->store->HSet("vessel:" + mmsi,
+                               std::span<KvStore::FieldValue>(fields, count));
 }
 
 void WriterActor::WriteEvent(const MaritimeEvent& event) {
   obs::ScopedTimer write_timer(pipeline_->stage_write);
   const std::string key = "event:" + std::to_string(shard_) + ":" +
                           std::to_string(event_seq_++);
-  KvStore* store = pipeline_->store;
+  std::string type(EventTypeName(event.type));
+  std::string vessel_a = std::to_string(event.vessel_a);
+  std::string vessel_b = std::to_string(event.vessel_b);
+  std::string time = std::to_string(event.event_time);
+  std::string location = FormatFixed(event.location.lat_deg, 6);
+  location += ',';
+  AppendFixed(event.location.lon_deg, 6, &location);
+  std::string distance = FormatFixed(event.distance_m, 1);
   // Dedicated event output stream (§7), keyed by the primary vessel.
   if (pipeline_->config->publish_output_topics) {
-    char record[192];
-    std::snprintf(record, sizeof(record), "%s,%u,%u,%lld,%.6f,%.6f,%.1f",
-                  std::string(EventTypeName(event.type)).c_str(),
-                  event.vessel_a, event.vessel_b,
-                  static_cast<long long>(event.event_time),
-                  event.location.lat_deg, event.location.lon_deg,
-                  event.distance_m);
-    (void)pipeline_->broker->Append(pipeline_->config->events_topic,
-                                    std::to_string(event.vessel_a), record,
-                                    event.detected_at);
+    std::string record = type + ',' + vessel_a + ',' + vessel_b + ',' + time +
+                         ',' + location + ',' + distance;
+    (void)pipeline_->broker->Append(pipeline_->config->events_topic, vessel_a,
+                                    std::move(record), event.detected_at);
   }
-  (void)store->HSet(key, "type", std::string(EventTypeName(event.type)));
-  (void)store->HSet(key, "vessel_a", std::to_string(event.vessel_a));
-  (void)store->HSet(key, "vessel_b", std::to_string(event.vessel_b));
-  (void)store->HSet(key, "time", std::to_string(event.event_time));
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f,%.6f", event.location.lat_deg,
-                event.location.lon_deg);
-  (void)store->HSet(key, "location", buf);
-  std::snprintf(buf, sizeof(buf), "%.1f", event.distance_m);
-  (void)store->HSet(key, "distance_m", buf);
+  KvStore::FieldValue fields[] = {{"type", std::move(type)},
+                                  {"vessel_a", std::move(vessel_a)},
+                                  {"vessel_b", std::move(vessel_b)},
+                                  {"time", std::move(time)},
+                                  {"location", std::move(location)},
+                                  {"distance_m", std::move(distance)}};
+  (void)pipeline_->store->HSet(key, fields);
 }
 
 }  // namespace marlin

@@ -45,8 +45,10 @@ class VesselActor : public Actor {
                               ActorContext& ctx);
   /// Forecast fan-out shared by the inline and batched paths.
   void PublishForecast(const ForecastTrajectory& trajectory, ActorContext& ctx);
-  /// Writer-state publish shared by both paths.
-  void PublishState(const AisPosition& report, ActorContext& ctx);
+  /// Writer-state publish shared by both paths; `new_forecast` attaches
+  /// latest_forecast_, which the writer has not seen yet.
+  void PublishState(const AisPosition& report, bool new_forecast,
+                    ActorContext& ctx);
 
   Mmsi mmsi_;
   PipelineContext* pipeline_;

@@ -1,6 +1,7 @@
 #ifndef MARLIN_CORE_MESSAGES_H_
 #define MARLIN_CORE_MESSAGES_H_
 
+#include <optional>
 #include <vector>
 
 #include "ais/types.h"
@@ -52,11 +53,13 @@ struct ForecastResultMsg {
   int64_t forecast_nanos = 0;
 };
 
-/// Vessel state published by vessel actors to the writer.
+/// Vessel state published by vessel actors to the writer. `forecast` is
+/// set only on the message that publishes a new forecast; the writer keeps
+/// the last one it wrote, since every message of one vessel reaches the
+/// same writer in order.
 struct VesselStateMsg {
   AisPosition latest;
-  bool has_forecast = false;
-  ForecastTrajectory forecast;
+  std::optional<ForecastTrajectory> forecast;
 };
 
 /// Periodic prune tick for stateful grid actors.

@@ -67,30 +67,33 @@ StatusOr<std::string> KvStore::Get(const std::string& key) const {
   return it->second.value;
 }
 
-Status KvStore::HSet(const std::string& key, const std::string& field,
-                     std::string value) {
-  metrics_.hset->Increment();
+Status KvStore::HSet(const std::string& key, std::span<FieldValue> fields) {
+  if (fields.empty()) {
+    return Status::InvalidArgument("HSET of key '" + key + "' without fields");
+  }
+  metrics_.hset->Increment(fields.size());
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end() && IsExpired(it->second, Now())) {
-    shard.map.erase(it);
-    it = shard.map.end();
-  }
-  if (it == shard.map.end()) {
-    Entry entry;
+  auto [it, inserted] = shard.map.try_emplace(key);
+  Entry& entry = it->second;
+  if (inserted || IsExpired(entry, Now())) {
+    entry = Entry{};
     entry.is_hash = true;
-    entry.hash.emplace(field, std::move(value));
-    shard.map.emplace(key, std::move(entry));
-    return Status::Ok();
-  }
-  if (!it->second.is_hash) {
+  } else if (!entry.is_hash) {
     return Status::FailedPrecondition("key '" + key + "' holds a string");
   }
-  MARLIN_CHK_INVARIANT(it->second.value.empty(),
+  MARLIN_CHK_INVARIANT(entry.value.empty(),
                        "hash entries must not carry a string value");
-  it->second.hash[field] = std::move(value);
+  for (FieldValue& pair : fields) {
+    entry.hash.insert_or_assign(std::move(pair.field), std::move(pair.value));
+  }
   return Status::Ok();
+}
+
+Status KvStore::HSet(const std::string& key, const std::string& field,
+                     std::string value) {
+  FieldValue pair{field, std::move(value)};
+  return HSet(key, std::span<FieldValue>(&pair, 1));
 }
 
 StatusOr<std::string> KvStore::HGet(const std::string& key,

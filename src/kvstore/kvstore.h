@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +25,12 @@ namespace marlin {
 /// feeding the UI).
 class KvStore {
  public:
+  /// One field/value pair of a multi-field HSET.
+  struct FieldValue {
+    std::string field;
+    std::string value;
+  };
+
   /// `clock` drives TTL expiry; defaults to the wall clock. `num_shards`
   /// bounds lock contention. `metrics` is the registry op counters report
   /// into (null = process global).
@@ -42,8 +49,15 @@ class KvStore {
 
   // -- Hash commands ----------------------------------------------------
 
-  /// HSET key field value. Creates the hash if absent; FailedPrecondition
-  /// when the key holds a string.
+  /// HSET key field value [field value ...]. Creates the hash if absent
+  /// (or expired) and writes every pair under one shard lock with one key
+  /// lookup, so a concurrent reader sees all of the pairs or none. Moves
+  /// from the pairs' strings. FailedPrecondition, with nothing written,
+  /// when the key holds a string; InvalidArgument for an empty `fields`.
+  /// Counts one `hset` op per pair.
+  Status HSet(const std::string& key, std::span<FieldValue> fields);
+
+  /// HSET key field value: the one-pair form of the call above.
   Status HSet(const std::string& key, const std::string& field,
               std::string value);
 

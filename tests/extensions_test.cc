@@ -162,13 +162,15 @@ TEST(OutputTopicsTest, EventsAndForecastsPublished) {
   config.publish_output_topics = true;
   MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(), config);
   ASSERT_TRUE(pipeline.Start().ok());
-  // Full window -> forecasts; close pair -> proximity event.
+  // Full window -> forecasts; close pair -> proximity event. Quiescing
+  // after each report lets every forecast land before the next report.
   LatLng position{38.0, 24.0};
   for (int i = 0; i < kSvrfInputLength + 3; ++i) {
     ASSERT_TRUE(pipeline
                     .Ingest(At(700, static_cast<TimeMicros>(i) * kMicrosPerMinute,
                                position))
                     .ok());
+    pipeline.AwaitQuiescence();
     position = DestinationPoint(position, 90.0, 12.0 * kKnotsToMps * 60.0);
   }
   ASSERT_TRUE(
@@ -190,6 +192,9 @@ TEST(OutputTopicsTest, EventsAndForecastsPublished) {
   size_t separators = 0;
   for (char c : forecasts[0].value) separators += c == ';';
   EXPECT_EQ(separators, static_cast<size_t>(kSvrfOutputSteps + 1));
+  // One record per forecast, not one per position report.
+  EXPECT_EQ(static_cast<int64_t>(forecasts.size()),
+            pipeline.Stats().forecasts_generated);
 
   Consumer event_consumer(&pipeline.broker(), "test", "marlin-events");
   const auto events = event_consumer.Poll(1000);

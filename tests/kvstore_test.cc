@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "kvstore/kvstore.h"
+#include "obs/metrics.h"
 #include "util/clock.h"
 
 namespace marlin {
@@ -292,6 +294,96 @@ TEST(KvStoreTest, SnapshotExcludesExpiredButKeepsLaterDeadlines) {
   ASSERT_EQ(snapshot.size(), 2u);
   EXPECT_EQ(snapshot[0].first, "forever");
   EXPECT_EQ(snapshot[1].first, "late");
+}
+
+// ------------------------------------------------- multi-field HSET
+
+using FieldValue = KvStore::FieldValue;
+
+TEST(KvStoreTest, MultiFieldHSetCreatesThenOverwrites) {
+  KvStore store;
+  FieldValue first[] = {{"lat", "38.1"}, {"lon", "24.2"}};
+  ASSERT_TRUE(store.HSet("vessel:1", first).ok());
+  FieldValue second[] = {{"lat", "38.5"}, {"sog", "12.0"}};
+  ASSERT_TRUE(store.HSet("vessel:1", second).ok());
+  const std::map<std::string, std::string> expected = {
+      {"lat", "38.5"}, {"lon", "24.2"}, {"sog", "12.0"}};
+  EXPECT_EQ(store.HGetAll("vessel:1"), expected);
+  // A repeated field within one call: the last pair wins, as in Redis.
+  FieldValue repeated[] = {{"cog", "1.0"}, {"cog", "2.0"}};
+  ASSERT_TRUE(store.HSet("vessel:1", repeated).ok());
+  EXPECT_EQ(*store.HGet("vessel:1", "cog"), "2.0");
+  // No pairs: rejected, and no key is created.
+  EXPECT_EQ(store.HSet("vessel:2", std::span<FieldValue>()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(store.Exists("vessel:2"));
+}
+
+TEST(KvStoreTest, MultiFieldHSetOnStringKeyWritesNothing) {
+  KvStore store;
+  store.Set("s", "string");
+  FieldValue fields[] = {{"a", "1"}, {"b", "2"}};
+  EXPECT_EQ(store.HSet("s", fields).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(*store.Get("s"), "string");
+  EXPECT_EQ(store.HGet("s", "a").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(store.HGetAll("s").empty());
+}
+
+TEST(KvStoreTest, MultiFieldHSetRecreatesExpiredKeyEmpty) {
+  VirtualClock clock(0);
+  KvStore store(&clock);
+  FieldValue old_fields[] = {{"stale", "x"}, {"lat", "1.0"}};
+  ASSERT_TRUE(store.HSet("h", old_fields).ok());
+  ASSERT_TRUE(store.Expire("h", 100));
+  store.Set("was_string", "v");
+  ASSERT_TRUE(store.Expire("was_string", 100));
+  clock.AdvanceTo(100);
+  FieldValue new_fields[] = {{"lat", "2.0"}};
+  ASSERT_TRUE(store.HSet("h", new_fields).ok());
+  const std::map<std::string, std::string> expected = {{"lat", "2.0"}};
+  EXPECT_EQ(store.HGetAll("h"), expected);
+  EXPECT_FALSE(store.Ttl("h").has_value());
+  // An expired string key is gone too: the hash replaces it.
+  FieldValue hash_fields[] = {{"f", "1"}};
+  ASSERT_TRUE(store.HSet("was_string", hash_fields).ok());
+  EXPECT_EQ(*store.HGet("was_string", "f"), "1");
+}
+
+TEST(KvStoreTest, HSetCounterCountsPairs) {
+  obs::MetricsRegistry registry;
+  KvStore store(nullptr, 16, &registry);
+  const obs::Counter* hset =
+      registry.GetCounter("marlin_kv_ops_total", "", {{"op", "hset"}});
+  FieldValue fields[] = {{"a", "1"}, {"b", "2"}, {"c", "3"}};
+  ASSERT_TRUE(store.HSet("h", fields).ok());
+  EXPECT_EQ(hset->Value(), 3u);
+  ASSERT_TRUE(store.HSet("h", "d", "4").ok());
+  EXPECT_EQ(hset->Value(), 4u);
+}
+
+TEST(KvStoreTest, ConcurrentReaderSeesWholeMultiFieldWrites) {
+  KvStore store;
+  constexpr int kWrites = 20000;
+  std::atomic<bool> done{false};
+  std::thread writer([&store, &done] {
+    for (int i = 0; i < kWrites; ++i) {
+      FieldValue fields[] = {{"a", std::to_string(i)},
+                             {"b", std::to_string(i)}};
+      ASSERT_TRUE(store.HSet("pair", fields).ok());
+    }
+    done.store(true);
+  });
+  int reads = 0, torn = 0;
+  while (!done.load()) {
+    const auto all = store.HGetAll("pair");
+    if (all.empty()) continue;
+    ++reads;
+    if (all.size() != 2 || all.at("a") != all.at("b")) ++torn;
+  }
+  writer.join();
+  EXPECT_EQ(torn, 0) << "of " << reads << " reads";
+  EXPECT_EQ(*store.HGet("pair", "a"), std::to_string(kWrites - 1));
 }
 
 }  // namespace
