@@ -11,8 +11,6 @@
 
 #include "ais/preprocess.h"
 #include "ais/types.h"
-#include "sim/des/components.h"
-#include "sim/des/scheduler.h"
 #include "sim/fleet.h"
 #include "geo/world.h"
 #include "util/clock.h"
@@ -102,21 +100,10 @@ inline std::shared_ptr<SvrfModel> TrainCompactSvrf(const SvrfDataset& data,
   return model;
 }
 
-/// The shared bench run loop (DESIGN.md §13). Every pipeline bench used to
-/// carry its own copy of
+/// The shared bench run loop (DESIGN.md §13), the one driver of a
+/// FleetSimulator:
 ///
-///   for (step) { fleet.Step(&batch); ingest each; AwaitQuiescence(); }
-///
-/// This helper is that loop, in two interchangeable drivers:
-///
-///  - wall mode (`virtual_time = false`): the literal legacy loop — the
-///    driver thread calls Step() directly;
-///  - virtual mode (`virtual_time = true`): a des::EventScheduler owns the
-///    timeline and a FleetStepper posts each step as an event. The fleet's
-///    RNG consumption is identical, so both drivers produce the exact same
-///    message stream — `fig6 --verify` asserts that — but the virtual
-///    driver composes with every other event source (chaos beats, weather
-///    sampling, skew retunes) on one deterministic, trace-hashed timeline.
+///   for (step) { fleet.Step(&batch); ingest each; quiesce(); }
 ///
 /// `ingest` is called per report, `quiesce` after each step's batch (the
 /// backlog bound) and once more at the end. Templated so benches that never
@@ -124,19 +111,11 @@ inline std::shared_ptr<SvrfModel> TrainCompactSvrf(const SvrfDataset& data,
 struct ReplayOptions {
   double duration_sec = 0.0;
   double step_sec = 20.0;
-  bool virtual_time = false;
-  /// Scheduler seed for virtual runs (event order + trace hash).
-  uint64_t seed = 42;
 };
 
 struct ReplayResult {
-  int64_t steps = 0;
   int64_t messages = 0;
   double wall_sec = 0.0;
-  /// Virtual runs only: the scheduler's event-order FNV trace hash and
-  /// dispatch count (0 in wall mode).
-  uint64_t trace_hash = 0;
-  int64_t events_dispatched = 0;
 };
 
 template <typename IngestFn, typename QuiesceFn>
@@ -144,41 +123,16 @@ ReplayResult ReplayFleet(FleetSimulator* fleet, const ReplayOptions& options,
                          IngestFn&& ingest, QuiesceFn&& quiesce) {
   ReplayResult result;
   Stopwatch wall;
-  if (options.virtual_time) {
-    des::EventSchedulerConfig scheduler_config;
-    scheduler_config.seed = options.seed;
-    scheduler_config.start_time = fleet->now();
-    des::EventScheduler scheduler(scheduler_config);
-    const TimeMicros end =
-        fleet->now() +
-        static_cast<TimeMicros>(options.duration_sec * kMicrosPerSecond);
-    des::FleetStepper stepper(
-        fleet, options.step_sec, end, &scheduler,
-        [&](std::vector<AisPosition>* batch, TimeMicros /*now*/) {
-          for (const AisPosition& report : *batch) {
-            ingest(report);
-            ++result.messages;
-          }
-          quiesce();
-        });
-    scheduler.RunUntil(end);
-    result.steps = stepper.steps();
-    result.trace_hash = scheduler.TraceHash();
-    result.events_dispatched = scheduler.dispatched();
-  } else {
-    const int steps =
-        static_cast<int>(options.duration_sec / options.step_sec);
-    std::vector<AisPosition> batch;
-    for (int step = 0; step < steps; ++step) {
-      batch.clear();
-      fleet->Step(&batch);
-      for (const AisPosition& report : batch) {
-        ingest(report);
-        ++result.messages;
-      }
-      quiesce();
+  const int steps = static_cast<int>(options.duration_sec / options.step_sec);
+  std::vector<AisPosition> batch;
+  for (int step = 0; step < steps; ++step) {
+    batch.clear();
+    fleet->Step(&batch);
+    for (const AisPosition& report : batch) {
+      ingest(report);
+      ++result.messages;
     }
-    result.steps = steps;
+    quiesce();
   }
   quiesce();
   result.wall_sec = wall.ElapsedMillis() / 1000.0;

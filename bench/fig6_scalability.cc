@@ -12,16 +12,15 @@
 // progressively. Scale knobs: MARLIN_F6_VESSELS (default 60000; set 170000
 // for the full-scale run), MARLIN_F6_MINUTES, MARLIN_F6_TRAIN_EPOCHS.
 //
-// Virtual-time modes (DESIGN.md §13):
-//   fig6 --virtual             single-node run driven by the discrete-event
-//                              scheduler instead of the wall loop
-//   fig6 --verify              runs wall + virtual back to back and asserts
-//                              identical message/forecast/event totals
+// Determinism and virtual-time modes (DESIGN.md §13):
+//   fig6 --verify              runs the single-node bench twice from one
+//                              seed on chk::DeterministicScheduler and
+//                              asserts identical totals and schedule hash
 //   fig6 --virtual --hours=72 --vessels=400000
 //                              the paper's headline regime: event-driven
 //                              fleet at message granularity through the
 //                              stream core, minutes of wall time
-// Results of the virtual modes land in BENCH_des.json.
+// Results of both modes land in BENCH_des.json.
 
 #include <algorithm>
 #include <atomic>
@@ -47,22 +46,21 @@
 namespace marlin {
 namespace {
 
-/// Totals one single-node fig6 run produces; `--verify` asserts the wall
-/// and virtual drivers agree on every field (trace_hash/wall are per-run).
+/// Totals one single-node fig6 run produces; `--verify` asserts two
+/// chk-seeded runs agree on every field but wall_sec.
 struct Fig6Counts {
   int64_t messages = 0;
   int64_t positions = 0;
   int64_t forecasts = 0;
   int64_t events = 0;
   size_t actors = 0;
-  uint64_t trace_hash = 0;
   /// chk schedule fingerprint when the run used deterministic dispatch
   /// (RunSingleNode's `chk_seed`), 0 otherwise.
   uint64_t sched_hash = 0;
   double wall_sec = 0.0;
 };
 
-int RunSingleNode(bool virtual_time, bool print_curve,
+int RunSingleNode(bool print_curve,
                   std::shared_ptr<const RouteForecaster> svrf,
                   const World& world, int vessels, double minutes,
                   Fig6Counts* counts, uint64_t chk_seed = 0) {
@@ -98,8 +96,6 @@ int RunSingleNode(bool virtual_time, bool print_curve,
   bench::ReplayOptions replay;
   replay.duration_sec = minutes * 60.0;
   replay.step_sec = fleet_config.step_sec;
-  replay.virtual_time = virtual_time;
-  replay.seed = fleet_config.seed;
   const bench::ReplayResult run = bench::ReplayFleet(
       &fleet, replay,
       [&](const AisPosition& report) { (void)pipeline.Ingest(report); },
@@ -114,20 +110,12 @@ int RunSingleNode(bool virtual_time, bool print_curve,
     counts->forecasts = stats.forecasts_generated;
     counts->events = stats.events_detected;
     counts->actors = stats.actor_count;
-    counts->trace_hash = run.trace_hash;
     counts->sched_hash = chk_sched != nullptr ? chk_sched->TraceHash() : 0;
     counts->wall_sec = wall_sec;
   }
-  std::printf("\nrun (%s driver): %.1f s wall for %.0f min of stream "
-              "(replay speedup %.0fx)\n",
-              virtual_time ? "virtual-time" : "wall", wall_sec, minutes,
-              minutes * 60.0 / wall_sec);
-  if (virtual_time) {
-    std::printf("virtual run: %lld events dispatched, trace hash "
-                "%016llx\n",
-                static_cast<long long>(run.events_dispatched),
-                static_cast<unsigned long long>(run.trace_hash));
-  }
+  std::printf("\nrun: %.1f s wall for %.0f min of stream (replay speedup "
+              "%.0fx)\n",
+              wall_sec, minutes, minutes * 60.0 / wall_sec);
   std::printf("totals: %lld AIS messages, %lld forecasts, %lld events, "
               "%zu live actors, %lld actor messages\n",
               static_cast<long long>(stats.positions_ingested),
@@ -240,7 +228,7 @@ std::shared_ptr<SvrfModel> TrainBenchModel(const World& world) {
   return svrf;
 }
 
-int Run(bool virtual_time) {
+int Run() {
   const int vessels =
       static_cast<int>(bench::EnvInt("MARLIN_F6_VESSELS", 25000));
   const double minutes =
@@ -249,21 +237,20 @@ int Run(bool virtual_time) {
   std::printf("=== Figure 6: system scalability — processing time vs live "
               "actors ===\n");
   std::printf("workload: %d vessels arriving over %.0f min, S-VRF on every "
-              "accepted message, single node%s\n",
-              vessels, minutes * 0.6,
-              virtual_time ? " (virtual-time driver)" : "");
+              "accepted message, single node\n",
+              vessels, minutes * 0.6);
 
   const World world = World::GlobalWorld(7);
   auto svrf = TrainBenchModel(world);
-  return RunSingleNode(virtual_time, /*print_curve=*/true, std::move(svrf),
-                       world, vessels, minutes, nullptr);
+  return RunSingleNode(/*print_curve=*/true, std::move(svrf), world, vessels,
+                       minutes, nullptr);
 }
 
 // ------------------------------------------------------------------------
-// Virtual-time modes (DESIGN.md §13). `--verify` proves the wall and DES
-// drivers are the same experiment; `--virtual --hours=H --vessels=V` runs
-// the paper's regime through the event-driven fleet. Both record their
-// results in BENCH_des.json.
+// Determinism and virtual-time modes (DESIGN.md §13). `--verify` proves the
+// single-node bench is a pure function of (stream, seed); `--virtual
+// --hours=H --vessels=V` runs the paper's regime through the event-driven
+// fleet. Both record their results in BENCH_des.json.
 
 struct RegimeResult {
   double hours = 0.0;
@@ -279,8 +266,8 @@ struct RegimeResult {
 
 struct DesBenchReport {
   bool has_verify = false;
-  Fig6Counts wall;
-  Fig6Counts virt;
+  Fig6Counts first;
+  Fig6Counts second;
   bool verify_ok = false;
   int verify_vessels = 0;
   double verify_minutes = 0.0;
@@ -293,74 +280,71 @@ int RunVerify(DesBenchReport* report) {
       static_cast<int>(bench::EnvInt("MARLIN_F6_VESSELS", 25000));
   const double minutes =
       static_cast<double>(bench::EnvInt("MARLIN_F6_MINUTES", 75));
-  std::printf("=== Figure 6 verify: wall driver vs virtual-time driver ===\n");
+  std::printf("=== Figure 6 verify: two chk-seeded runs of one stream ===\n");
   std::printf("workload: %d vessels over %.0f min of stream, same seed, "
-              "fresh pipeline per driver\n",
+              "fresh pipeline per run\n",
               vessels, minutes);
 
   const World world = World::GlobalWorld(7);
   auto svrf = TrainBenchModel(world);
-  // One seed drives everything (DESIGN.md §13): the fleet stream, the DES
-  // event order, and — via chk::DeterministicScheduler — the actor
-  // interleaving inside both pipelines. Without the deterministic
-  // dispatcher, collision/proximity detection counts jitter by a handful
-  // of events run-to-run (mailbox arrival order across the 2-thread pool
-  // decides which position a near-threshold pair is checked against), and
-  // an exact-equality verify would flake.
+  // One seed drives everything (DESIGN.md §13): the fleet stream and — via
+  // chk::DeterministicScheduler — the actor interleaving inside the
+  // pipeline. Without the deterministic dispatcher, collision/proximity
+  // detection counts jitter by a handful of events run-to-run (mailbox
+  // arrival order across the 2-thread pool decides which position a
+  // near-threshold pair is checked against), and an exact-equality verify
+  // would flake.
   constexpr uint64_t kChkSeed = 42;
-  Fig6Counts wall_counts, virtual_counts;
-  if (RunSingleNode(/*virtual_time=*/false, /*print_curve=*/false, svrf,
-                    world, vessels, minutes, &wall_counts, kChkSeed) != 0) {
+  Fig6Counts first, second;
+  if (RunSingleNode(/*print_curve=*/false, svrf, world, vessels, minutes,
+                    &first, kChkSeed) != 0) {
     return 1;
   }
-  if (RunSingleNode(/*virtual_time=*/true, /*print_curve=*/false, svrf,
-                    world, vessels, minutes, &virtual_counts, kChkSeed) != 0) {
+  if (RunSingleNode(/*print_curve=*/false, svrf, world, vessels, minutes,
+                    &second, kChkSeed) != 0) {
     return 1;
   }
 
-  // The virtual driver replays the exact same message stream (FleetStepper
-  // calls the unchanged FleetSimulator::Step the same number of times) with
-  // the same per-step quiesce points and the same dispatch seed, so every
+  // Same stream, same per-step quiesce points, same dispatch seed: every
   // total — including the interleaving-sensitive detection counts — must
   // match bit-for-bit, as must the chk schedule fingerprints themselves.
   struct Check {
     const char* name;
-    long long wall;
-    long long virt;
+    long long first;
+    long long second;
   };
   const Check checks[] = {
-      {"messages replayed", wall_counts.messages, virtual_counts.messages},
-      {"positions ingested", wall_counts.positions, virtual_counts.positions},
-      {"forecasts", wall_counts.forecasts, virtual_counts.forecasts},
-      {"events detected", wall_counts.events, virtual_counts.events},
-      {"live actors", static_cast<long long>(wall_counts.actors),
-       static_cast<long long>(virtual_counts.actors)},
+      {"messages replayed", first.messages, second.messages},
+      {"positions ingested", first.positions, second.positions},
+      {"forecasts", first.forecasts, second.forecasts},
+      {"events detected", first.events, second.events},
+      {"live actors", static_cast<long long>(first.actors),
+       static_cast<long long>(second.actors)},
   };
   bool ok = true;
-  std::printf("\n| total              | wall driver | virtual driver | match "
+  std::printf("\n| total              |       run 1 |          run 2 | match "
               "|\n");
   std::printf("|--------------------|-------------|----------------|-------|"
               "\n");
   for (const Check& check : checks) {
-    const bool match = check.wall == check.virt;
+    const bool match = check.first == check.second;
     ok = ok && match;
-    std::printf("| %-18s | %11lld | %14lld | %s |\n", check.name, check.wall,
-                check.virt, match ? "YES  " : "NO   ");
+    std::printf("| %-18s | %11lld | %14lld | %s |\n", check.name,
+                check.first, check.second, match ? "YES  " : "NO   ");
   }
-  const bool sched_match = wall_counts.sched_hash == virtual_counts.sched_hash;
+  const bool sched_match = first.sched_hash == second.sched_hash;
   ok = ok && sched_match;
-  std::printf("\nchk schedule hash: wall %016llx, virtual %016llx (%s)\n",
-              static_cast<unsigned long long>(wall_counts.sched_hash),
-              static_cast<unsigned long long>(virtual_counts.sched_hash),
+  std::printf("\nchk schedule hash: run 1 %016llx, run 2 %016llx (%s)\n",
+              static_cast<unsigned long long>(first.sched_hash),
+              static_cast<unsigned long long>(second.sched_hash),
               sched_match ? "match" : "MISMATCH");
-  std::printf("verify: wall and virtual drivers %s (virtual trace hash "
-              "%016llx)\n",
+  std::printf("verify: two runs %s (schedule hash %016llx)\n",
               ok ? "IDENTICAL" : "DIVERGED",
-              static_cast<unsigned long long>(virtual_counts.trace_hash));
+              static_cast<unsigned long long>(first.sched_hash));
   if (report != nullptr) {
     report->has_verify = true;
-    report->wall = wall_counts;
-    report->virt = virtual_counts;
+    report->first = first;
+    report->second = second;
     report->verify_ok = ok;
     report->verify_vessels = vessels;
     report->verify_minutes = minutes;
@@ -490,29 +474,28 @@ int WriteDesJson(const DesBenchReport& report) {
   std::fprintf(json, "{");
   const char* separator = "\n";
   if (report.has_verify) {
-    std::fprintf(
-        json,
-        "%s  \"verify\": {\n"
-        "    \"vessels\": %d, \"minutes\": %.0f, \"identical\": %s,\n"
-        "    \"wall_driver\": {\"messages\": %lld, \"positions\": %lld, "
-        "\"forecasts\": %lld, \"events\": %lld, \"actors\": %zu, "
-        "\"wall_sec\": %.2f},\n"
-        "    \"virtual_driver\": {\"messages\": %lld, \"positions\": %lld, "
-        "\"forecasts\": %lld, \"events\": %lld, \"actors\": %zu, "
-        "\"wall_sec\": %.2f, \"trace_hash\": \"%016llx\"}\n  }",
-        separator, report.verify_vessels, report.verify_minutes,
-        report.verify_ok ? "true" : "false",
-        static_cast<long long>(report.wall.messages),
-        static_cast<long long>(report.wall.positions),
-        static_cast<long long>(report.wall.forecasts),
-        static_cast<long long>(report.wall.events), report.wall.actors,
-        report.wall.wall_sec,
-        static_cast<long long>(report.virt.messages),
-        static_cast<long long>(report.virt.positions),
-        static_cast<long long>(report.virt.forecasts),
-        static_cast<long long>(report.virt.events), report.virt.actors,
-        report.virt.wall_sec,
-        static_cast<unsigned long long>(report.virt.trace_hash));
+    std::fprintf(json,
+                 "%s  \"verify\": {\n"
+                 "    \"vessels\": %d, \"minutes\": %.0f, \"identical\": %s, "
+                 "\"schedule_hash\": \"%016llx\",\n"
+                 "    \"runs\": [\n",
+                 separator, report.verify_vessels, report.verify_minutes,
+                 report.verify_ok ? "true" : "false",
+                 static_cast<unsigned long long>(report.first.sched_hash));
+    const Fig6Counts* runs[] = {&report.first, &report.second};
+    for (const Fig6Counts* run : runs) {
+      std::fprintf(json,
+                   "      {\"messages\": %lld, \"positions\": %lld, "
+                   "\"forecasts\": %lld, \"events\": %lld, \"actors\": %zu, "
+                   "\"schedule_hash\": \"%016llx\", \"wall_sec\": %.2f}%s\n",
+                   static_cast<long long>(run->messages),
+                   static_cast<long long>(run->positions),
+                   static_cast<long long>(run->forecasts),
+                   static_cast<long long>(run->events), run->actors,
+                   static_cast<unsigned long long>(run->sched_hash),
+                   run->wall_sec, run == runs[0] ? "," : "");
+    }
+    std::fprintf(json, "    ]\n  }");
     separator = ",\n";
   }
   if (report.has_regime) {
@@ -932,6 +915,7 @@ int main(int argc, char** argv) {
   bool flag_verify = false;
   double hours = 0.0;
   int vessels = 0;
+  bool usage_error = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--virtual") == 0) {
@@ -943,12 +927,15 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--vessels=", 10) == 0) {
       vessels = static_cast<int>(std::strtol(arg + 10, nullptr, 10));
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--virtual] [--verify] [--hours=H] "
-                   "[--vessels=V]\n",
-                   argv[0]);
-      return 2;
+      usage_error = true;
     }
+  }
+  // --virtual is the event-driven regime and needs its simulated span.
+  if (usage_error || (flag_virtual && hours <= 0.0)) {
+    std::fprintf(stderr,
+                 "usage: %s [--verify] [--virtual --hours=H [--vessels=V]]\n",
+                 argv[0]);
+    return 2;
   }
 
   if (flag_verify || flag_virtual) {
@@ -959,17 +946,12 @@ int main(int argc, char** argv) {
         (void)marlin::WriteDesJson(report);
         return rc;
       }
-      if (flag_virtual && hours > 0.0) std::printf("\n");
+      if (flag_virtual) std::printf("\n");
     }
     if (flag_virtual) {
-      if (hours > 0.0) {
-        const int rc = marlin::RunRegime(hours, vessels > 0 ? vessels : 400000,
-                                         &report);
-        if (rc != 0) return rc;
-      } else if (!flag_verify) {
-        // Plain --virtual: the standard single-node bench on the DES driver.
-        return marlin::Run(/*virtual_time=*/true);
-      }
+      const int rc = marlin::RunRegime(hours, vessels > 0 ? vessels : 400000,
+                                       &report);
+      if (rc != 0) return rc;
     }
     return marlin::WriteDesJson(report);
   }
@@ -977,7 +959,7 @@ int main(int argc, char** argv) {
   if (marlin::bench::EnvInt("MARLIN_F6_NN_ONLY", 0) != 0) {
     return marlin::RunNnBatching();
   }
-  const int single_node = marlin::Run(/*virtual_time=*/false);
+  const int single_node = marlin::Run();
   if (single_node != 0) return single_node;
   const int cluster = marlin::RunCluster();
   if (cluster != 0) return cluster;

@@ -93,6 +93,7 @@ StatusOr<ActorRef> ActorSystem::Spawn(std::string name,
     cell->scheduled = true;
     by_name_.emplace(name, cell);
     by_id_.emplace(cell->id, cell);
+    actor_count_.store(by_id_.size(), std::memory_order_relaxed);
   }
   metrics_.actors_spawned->Increment();
   metrics_.live_actors->Add(1);
@@ -285,12 +286,8 @@ void ActorSystem::Shutdown() {
     std::lock_guard<std::mutex> lock(registry_mu_);
     by_name_.clear();
     by_id_.clear();
+    actor_count_.store(0, std::memory_order_relaxed);
   }
-}
-
-size_t ActorSystem::ActorCount() const {
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  return by_id_.size();
 }
 
 bool ActorSystem::Enqueue(const std::shared_ptr<ActorCell>& cell,
@@ -432,6 +429,7 @@ void ActorSystem::StopCell(const std::shared_ptr<ActorCell>& cell) {
   std::lock_guard<std::mutex> lock(registry_mu_);
   by_name_.erase(cell->name);
   by_id_.erase(cell->id);
+  actor_count_.store(by_id_.size(), std::memory_order_relaxed);
 }
 
 void ActorSystem::TimerLoop() {

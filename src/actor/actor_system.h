@@ -121,8 +121,11 @@ class ActorSystem {
   /// Drains and joins everything. Idempotent; called by the destructor.
   void Shutdown();
 
-  /// Number of live actors.
-  size_t ActorCount() const;
+  /// Number of live actors. Lock-free: vessel actors read it on every
+  /// message for the Figure-6 latency series.
+  size_t ActorCount() const {
+    return actor_count_.load(std::memory_order_relaxed);
+  }
 
   /// Messages delivered (processed) since construction.
   int64_t ProcessedCount() const {
@@ -172,6 +175,8 @@ class ActorSystem {
   mutable std::mutex registry_mu_;
   std::unordered_map<std::string, std::shared_ptr<ActorCell>> by_name_;
   std::unordered_map<ActorId, std::shared_ptr<ActorCell>> by_id_;
+  /// by_id_.size(), stored under registry_mu_ wherever by_id_ changes.
+  std::atomic<size_t> actor_count_{0};
   /// Names a GetOrSpawn is currently constructing (claim registered under
   /// registry_mu_ before the factory runs, so concurrent callers for the
   /// same name wait on spawn_cv_ instead of double-constructing).

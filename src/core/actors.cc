@@ -114,10 +114,8 @@ Status VesselActor::HandlePosition(const AisPosition& report,
                                    int64_t ingest_cost_nanos,
                                    ActorContext& ctx) {
   // The Figure-6 measurement: time to fully process one AIS message at the
-  // actor level (history update, forecast, event routing), read from the
-  // pipeline's latency source (host steady clock unless a virtual-time
-  // driver injected its VirtualClock).
-  Stopwatch stopwatch(pipeline_->latency_clock);
+  // actor level (history update, forecast, event routing).
+  Stopwatch stopwatch;
   pipeline_->positions_ingested.fetch_add(1, std::memory_order_relaxed);
 
   const bool accepted = history_.Push(report);
@@ -227,7 +225,7 @@ Status VesselActor::HandlePosition(const AisPosition& report,
 
 Status VesselActor::HandleForecastResult(const ForecastResultMsg& result,
                                          ActorContext& ctx) {
-  Stopwatch stopwatch(pipeline_->latency_clock);
+  Stopwatch stopwatch;
   int64_t sync_nanos = 0;
   if (!pending_sync_nanos_.empty()) {
     sync_nanos = pending_sync_nanos_.front();

@@ -35,7 +35,6 @@ Status MaritimePipeline::Start() {
   context_->store = &store_;
   context_->broker = &broker_;
   context_->latency = &latency_;
-  context_->latency_clock = config_.latency_clock;
   context_->system = system_.get();
   if (config_.batched_inference) {
     InferenceBatcher::Options batcher_options;
@@ -109,7 +108,7 @@ Status MaritimePipeline::Ingest(const AisPosition& report) {
     return Status::FailedPrecondition("pipeline not running");
   }
   obs::ScopedTimer ingest_timer(context_->stage_ingest);
-  Stopwatch spawn_watch(config_.latency_clock);
+  Stopwatch spawn_watch;
   StatusOr<ActorRef> actor = system_->GetOrSpawn(
       marlin::VesselActorName(report.mmsi), [this, &report] {
         return std::make_unique<VesselActor>(report.mmsi, context_.get());

@@ -84,12 +84,6 @@ struct PipelineConfig {
   /// histograms) report into. Null = process global. Also applied to
   /// `actor_system.metrics` when that is unset.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Nanosecond source for the per-message stopwatches feeding the
-  /// Figure-6 LatencyRecorder. Null = host steady clock (processing *cost*,
-  /// the paper's measurement). Virtual-time drivers that want stream-time
-  /// latency stats instead of host-time inject the run's VirtualClock here
-  /// (see DESIGN.md §13). Not owned; must outlive the pipeline.
-  const NanoClock* latency_clock = nullptr;
 };
 
 /// Aggregate pipeline statistics.
@@ -116,9 +110,6 @@ struct PipelineContext {
   /// Shared inference batcher; null when batched_inference is off. Vessel
   /// actors Submit here and fall back to an inline Forecast on rejection.
   InferenceBatcher* batcher = nullptr;
-  /// Source for the actors' latency stopwatches (config.latency_clock;
-  /// null = host steady clock).
-  const NanoClock* latency_clock = nullptr;
   /// Stage-latency members of marlin_pipeline_stage_nanos{stage=...},
   /// cached at Start() so actors never touch the registry on the hot path.
   obs::Histogram* stage_ingest = nullptr;

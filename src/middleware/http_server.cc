@@ -3,14 +3,23 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstring>
 
+#include "util/clock.h"
 #include "util/logging.h"
 
 namespace marlin {
 namespace {
+
+// Connections are handled inline on the accept loop, so a client that
+// stalls mid-request must not hold the loop (and with it every later client
+// and Stop()) for long: this bounds each recv/send on an accepted socket and
+// the whole request-head read.
+constexpr int kIoTimeoutMillis = 2000;
+constexpr size_t kMaxHeadBytes = 16384;
 
 const char* StatusText(int status) {
   switch (status) {
@@ -88,16 +97,25 @@ void HttpServer::AcceptLoop() {
       if (!running_.load()) return;
       continue;
     }
+    timeval timeout{};
+    timeout.tv_sec = kIoTimeoutMillis / 1000;
+    timeout.tv_usec = (kIoTimeoutMillis % 1000) * 1000;
+    ::setsockopt(client_fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof(timeout));
+    ::setsockopt(client_fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                 sizeof(timeout));
     HandleConnection(client_fd);
     ::close(client_fd);
   }
 }
 
 void HttpServer::HandleConnection(int client_fd) {
-  // Read until the end of the request head (or the cap).
+  // Read until the end of the request head, the cap, or the deadline.
   std::string head;
   char buffer[2048];
-  while (head.size() < 16384 &&
+  const Stopwatch read_time;
+  while (head.size() < kMaxHeadBytes &&
+         read_time.ElapsedMillis() < kIoTimeoutMillis &&
          head.find("\r\n\r\n") == std::string::npos &&
          head.find("\n\n") == std::string::npos) {
     const ssize_t n = ::recv(client_fd, buffer, sizeof(buffer), 0);
@@ -110,12 +128,13 @@ void HttpServer::HandleConnection(int client_fd) {
       break;
     }
   }
-  // Parse "METHOD target HTTP/x.y".
-  std::string method = "GET", target = "/";
-  {
-    const size_t line_end = head.find('\n');
-    const std::string line =
-        head.substr(0, line_end == std::string::npos ? head.size() : line_end);
+  // Parse "METHOD target HTTP/x.y". A request line cut off by EOF, the
+  // deadline or the cap names no target we can trust.
+  const size_t line_end = head.find('\n');
+  ApiResponse response{400, "{\"error\":\"incomplete request line\"}"};
+  if (line_end != std::string::npos) {
+    std::string method = "GET", target = "/";
+    const std::string line = head.substr(0, line_end);
     const size_t first_space = line.find(' ');
     const size_t second_space =
         first_space == std::string::npos ? std::string::npos
@@ -127,8 +146,8 @@ void HttpServer::HandleConnection(int client_fd) {
                    : line.substr(first_space + 1,
                                  second_space - first_space - 1);
     }
+    response = api_->Handle(method, target);
   }
-  const ApiResponse response = api_->Handle(method, target);
   requests_.fetch_add(1, std::memory_order_relaxed);
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
                     StatusText(response.status) + "\r\nContent-Type: " +

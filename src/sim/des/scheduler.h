@@ -10,7 +10,6 @@
 #include "chk/fingerprint.h"
 #include "sim/des/event_queue.h"
 #include "util/clock.h"
-#include "util/rng.h"
 
 namespace marlin {
 namespace des {
@@ -41,10 +40,9 @@ class FunctionHandler : public EventHandler {
 };
 
 struct EventSchedulerConfig {
-  /// Drives the scheduler's Rng and is mixed into the trace hash, so one
-  /// seed fully determines a virtual-time run. The same value is handed to
-  /// chk::DeterministicScheduler when a run also serialises actor
-  /// interleavings (see tests/des_test.cc).
+  /// Mixed into the trace hash, so one seed fully determines a virtual-time
+  /// run's fingerprint. The same value is handed to chk::DeterministicScheduler
+  /// when a run also serialises actor interleavings (see tests/des_test.cc).
   uint64_t seed = 1;
   /// Initial virtual time.
   TimeMicros start_time = 0;
@@ -53,8 +51,8 @@ struct EventSchedulerConfig {
 /// Deterministic discrete-event scheduler: the virtual-time core of
 /// DESIGN.md §13. A single global priority queue keyed by virtual
 /// TimeMicros with stable (time, post-order) tie-breaking; components post
-/// future events and the run loop dispatches them in order, advancing the
-/// owned VirtualClock to each event's timestamp. Every dispatch is folded
+/// future events and the run loop dispatches them in order, advancing
+/// virtual time to each event's timestamp. Every dispatch is folded
 /// into an FNV-1a trace fingerprint (chk/fingerprint.h), so
 /// "same seed → same trace hash" is checkable across runs, thread counts,
 /// and machines.
@@ -110,16 +108,7 @@ class EventScheduler {
   int64_t RunAll(int64_t max_events = -1);
 
   /// Current virtual time.
-  TimeMicros Now() const { return clock_.Now(); }
-
-  /// The clock this loop owns. Hand it to everything in the run — pipeline
-  /// config, chaos clocks, Stopwatch injection — so the whole system shares
-  /// one virtual timeline.
-  VirtualClock* clock() { return &clock_; }
-
-  /// Scheduler-owned deterministic randomness; components Fork() their own
-  /// streams from it at registration time.
-  Rng* rng() { return &rng_; }
+  TimeMicros Now() const { return now_; }
 
   /// FNV-1a fingerprint of the dispatch history: (time, handler-name hash,
   /// arg) of every event dispatched so far, seeded with the run seed.
@@ -138,8 +127,7 @@ class EventScheduler {
   };
 
   const uint64_t seed_;
-  VirtualClock clock_;
-  Rng rng_;
+  TimeMicros now_;
   EventQueue queue_;
   std::vector<HandlerEntry> handlers_;
   chk::Fingerprint trace_;

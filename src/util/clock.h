@@ -32,30 +32,17 @@ class WallClock : public Clock {
   }
 };
 
-/// Monotonic nanosecond source — the seam that lets latency instrumentation
-/// (Stopwatch, and through it LatencyRecorder feeds) run on either host
-/// steady time or virtual stream time. Null means "host steady clock".
-class NanoClock {
- public:
-  virtual ~NanoClock() = default;
-  virtual int64_t NowNanos() const = 0;
-};
-
-/// The manually advanced clock: owned by a discrete-event loop (sim/des)
-/// and by tests that step time themselves. Reads are
-/// lock-free; AdvanceTo never moves time backwards even when racing
-/// advancers, so components observing it mid-dispatch always see a
-/// monotonic timeline. Implements both the micros Clock seam (pipeline,
-/// broker, kvstore TTLs) and the nanos seam (Stopwatch injection), so one
-/// instance can be the sole time source of a virtual-time run.
-class VirtualClock : public Clock, public NanoClock {
+/// The manually advanced clock, for tests and the chaos harness that step
+/// time themselves. Reads are lock-free; AdvanceTo never moves time
+/// backwards even when racing advancers, so components observing it
+/// mid-dispatch always see a monotonic timeline.
+class VirtualClock : public Clock {
  public:
   explicit VirtualClock(TimeMicros start = 0) : now_(start) {}
 
   TimeMicros Now() const override {
     return now_.load(std::memory_order_acquire);
   }
-  int64_t NowNanos() const override { return Now() * 1000; }
 
   /// Advances to `t` if `t` is ahead of the current reading; a stale or
   /// concurrent advance to an earlier time is a no-op.
@@ -72,18 +59,14 @@ class VirtualClock : public Clock, public NanoClock {
   std::atomic<TimeMicros> now_;
 };
 
-/// Monotonic nanosecond stopwatch for latency measurements. By default it
-/// reads the host steady clock; constructed with a NanoClock it measures
-/// that source instead (virtual-time runs inject the event loop's
-/// VirtualClock so latency stats are stream-time, not host-time).
+/// Monotonic nanosecond stopwatch on the host steady clock, for latency
+/// and processing-cost measurements.
 class Stopwatch {
  public:
   Stopwatch() : start_nanos_(SteadyNanos()) {}
-  explicit Stopwatch(const NanoClock* source)
-      : source_(source), start_nanos_(NowNanos()) {}
-  void Restart() { start_nanos_ = NowNanos(); }
+  void Restart() { start_nanos_ = SteadyNanos(); }
   /// Elapsed time since construction/restart, in nanoseconds.
-  int64_t ElapsedNanos() const { return NowNanos() - start_nanos_; }
+  int64_t ElapsedNanos() const { return SteadyNanos() - start_nanos_; }
   double ElapsedMillis() const { return ElapsedNanos() / 1e6; }
 
  private:
@@ -92,11 +75,7 @@ class Stopwatch {
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
   }
-  int64_t NowNanos() const {
-    return source_ != nullptr ? source_->NowNanos() : SteadyNanos();
-  }
 
-  const NanoClock* source_ = nullptr;
   int64_t start_nanos_ = 0;
 };
 

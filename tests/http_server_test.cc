@@ -2,11 +2,18 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "middleware/api_service.h"
@@ -16,11 +23,17 @@
 namespace marlin {
 namespace {
 
-/// Tiny blocking HTTP GET client for the tests.
-std::string HttpGet(int port, const std::string& target, int* status) {
-  *status = -1;
+/// Client-side receive timeout: a test against a server that never answers
+/// fails on it instead of hanging.
+constexpr int kClientTimeoutSec = 6;
+
+/// Connects a blocking client socket to the loopback server; -1 on failure.
+int Connect(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
+  timeval timeout{};
+  timeout.tv_sec = kClientTimeoutSec;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   sockaddr_in address{};
   address.sin_family = AF_INET;
   address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -28,11 +41,13 @@ std::string HttpGet(int port, const std::string& target, int* status) {
   if (::connect(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) !=
       0) {
     ::close(fd);
-    return "";
+    return -1;
   }
-  const std::string request =
-      "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  return fd;
+}
+
+/// Reads until EOF, error or the client timeout, then closes `fd`.
+std::string ReadAllAndClose(int fd) {
   std::string response;
   char buffer[4096];
   ssize_t n;
@@ -40,10 +55,30 @@ std::string HttpGet(int port, const std::string& target, int* status) {
     response.append(buffer, static_cast<size_t>(n));
   }
   ::close(fd);
-  const size_t space = response.find(' ');
-  if (space != std::string::npos) {
-    *status = std::atoi(response.c_str() + space + 1);
-  }
+  return response;
+}
+
+/// The status code of a raw response, or -1 when there is none.
+int StatusOf(const std::string& response) {
+  if (response.rfind("HTTP/1.1 ", 0) != 0) return -1;
+  return std::atoi(response.c_str() + 9);
+}
+
+/// Full response (status line + headers + body) to a GET of `target`.
+std::string HttpGetRaw(int port, const std::string& target) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
+  const std::string request =
+      "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  return ReadAllAndClose(fd);
+}
+
+/// Tiny blocking HTTP GET client for the tests: the body, and the status
+/// (-1 when there is no response).
+std::string HttpGet(int port, const std::string& target, int* status) {
+  const std::string response = HttpGetRaw(port, target);
+  *status = StatusOf(response);
   const size_t body = response.find("\r\n\r\n");
   return body == std::string::npos ? "" : response.substr(body + 4);
 }
@@ -107,32 +142,6 @@ TEST_F(HttpServerTest, ConcurrentClients) {
   EXPECT_EQ(ok.load(), kClients * 5);
 }
 
-/// Like HttpGet but returns the full response (status line + headers + body).
-std::string HttpGetRaw(int port, const std::string& target) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  address.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&address), sizeof(address)) !=
-      0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string request =
-      "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
-  std::string response;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
-    response.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
 TEST_F(HttpServerTest, MetricsServedAsPrometheusText) {
   AisPosition report;
   report.mmsi = 9;
@@ -173,6 +182,87 @@ TEST_F(HttpServerTest, StopRacingAcceptLoopIsClean) {
     server_->Stop();  // idempotent while the loop is tearing down
     ASSERT_TRUE(server_->Start().ok());
   }
+  int status = 0;
+  HttpGet(server_->port(), "/stats", &status);
+  EXPECT_EQ(status, 200);
+}
+
+// Untrusted input: a client that sends a partial request line and then
+// nothing (here `GET /vess`, no newline) used to hold the inline accept loop
+// in recv() forever, starving every later client.
+TEST_F(HttpServerTest, StalledClientDoesNotBlockOthers) {
+  const int stalled = Connect(server_->port());
+  ASSERT_GE(stalled, 0);
+  ASSERT_EQ(::send(stalled, "GET /vess", 9, MSG_NOSIGNAL), 9);
+
+  const auto start = std::chrono::steady_clock::now();
+  int status = 0;
+  HttpGet(server_->port(), "/stats", &status);
+  const double waited_sec = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  ::close(stalled);
+  EXPECT_EQ(status, 200);
+  EXPECT_LT(waited_sec, 5.0);
+}
+
+// The same stall used to make Stop() hang: shutting the listening socket
+// does not wake a recv() on an accepted one.
+TEST_F(HttpServerTest, StopReturnsWhileClientStalled) {
+  const int stalled = Connect(server_->port());
+  ASSERT_GE(stalled, 0);
+  ASSERT_EQ(::send(stalled, "GET /vess", 9, MSG_NOSIGNAL), 9);
+
+  auto stopped = std::async(std::launch::async, [this] { server_->Stop(); });
+  if (stopped.wait_for(std::chrono::seconds(5)) !=
+      std::future_status::ready) {
+    ::close(stalled);  // unblocks the server so the test can finish
+    stopped.wait();
+    FAIL() << "Stop() still blocked 5 s after a client stalled mid-request";
+  }
+  ::close(stalled);
+}
+
+TEST_F(HttpServerTest, RequestSentOneByteAtATimeIsServed) {
+  const int fd = Connect(server_->port());
+  ASSERT_GE(fd, 0);
+  const int no_delay = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof(no_delay));
+  const std::string request = "GET /stats HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  // TCP_NODELAY puts every byte in its own segment. The server may answer
+  // and close as soon as the request line is complete, so a later send can
+  // fail; the response is still readable.
+  for (const char byte : request) {
+    if (::send(fd, &byte, 1, MSG_NOSIGNAL) != 1) break;
+  }
+  EXPECT_EQ(StatusOf(ReadAllAndClose(fd)), 200);
+}
+
+TEST_F(HttpServerTest, TruncatedRequestGetsResponse) {
+  const int fd = Connect(server_->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, "GET /sta", 8, MSG_NOSIGNAL), 8);
+  ::shutdown(fd, SHUT_WR);
+  EXPECT_EQ(StatusOf(ReadAllAndClose(fd)), 400);
+
+  int status = 0;
+  HttpGet(server_->port(), "/stats", &status);
+  EXPECT_EQ(status, 200);
+}
+
+TEST_F(HttpServerTest, OversizedRequestsGetResponses) {
+  const std::string padding(20000, 'a');
+  const std::string long_line = "GET /" + padding + " HTTP/1.1\r\n\r\n";
+  const std::string long_headers =
+      "GET /stats HTTP/1.1\r\nX-Pad: " + padding + "\r\n\r\n";
+  for (const std::string& request : {long_line, long_headers}) {
+    const int fd = Connect(server_->port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    EXPECT_GT(StatusOf(ReadAllAndClose(fd)), 0) << request.substr(0, 32);
+  }
+
   int status = 0;
   HttpGet(server_->port(), "/stats", &status);
   EXPECT_EQ(status, 200);

@@ -52,8 +52,8 @@ const Config& ProjectConfig() {
     // Host-time substrates: the only files that may read wall clocks or
     // really sleep. util/clock.h *is* the seam; logging stamps human-read
     // wall timestamps; the actor dispatcher's idle loop backs off with a
-    // real micro-sleep. Everything else takes a Clock* / NanoClock* so
-    // virtual-time runs (DESIGN.md §13) control what "now" means.
+    // real micro-sleep. Everything else takes a Clock* so virtual-time
+    // runs (DESIGN.md §13) control what "now" means.
     config->raw_clock_files = {
         "src/util/clock.h",
         "src/util/logging.cc",

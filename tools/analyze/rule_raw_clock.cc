@@ -3,7 +3,7 @@
 // bypass the Clock / VirtualClock seam in util/clock.h, so code using them
 // cannot run on the discrete-event scheduler's virtual timeline — a 72-hour
 // simulated run would take 72 wall-clock hours. Time consumers take a
-// `const Clock*` / `const NanoClock*`; the handful of substrates that
+// `const Clock*`; the handful of substrates that
 // legitimately touch host time (the seam itself, log timestamping, the
 // dispatcher's idle backoff) are enumerated in Config::raw_clock_files.
 
