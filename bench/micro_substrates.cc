@@ -17,6 +17,7 @@
 #include "events/collision.h"
 #include "events/proximity.h"
 #include "events/switch_off.h"
+#include "events/traffic_flow.h"
 #include "geo/geodesy.h"
 #include "hexgrid/hexgrid.h"
 #include "kvstore/kvstore.h"
@@ -219,14 +220,15 @@ void BM_ProximityObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_ProximityObserve);
 
-// Steady state: a fixed fleet of 2000 forecast trajectories in a 1-degree
-// square, each re-observed once a minute of stream time (shifted to the new
-// anchor time), with a Prune every 64 observations as CollisionActor does.
-void BM_CollisionObserve(benchmark::State& state) {
-  constexpr int kFleet = 2000;
+// A fixed fleet of 2000 forecast trajectories in a 1-degree square, anchored
+// at time 0; the forecaster cases below re-observe it once a minute of
+// stream time.
+constexpr int kForecastFleet = 2000;
+
+std::vector<ForecastTrajectory> ForecastFleet() {
   Rng rng(5);
   std::vector<ForecastTrajectory> fleet;
-  for (int v = 0; v < kFleet; ++v) {
+  for (int v = 0; v < kForecastFleet; ++v) {
     ForecastTrajectory trajectory;
     trajectory.mmsi = static_cast<Mmsi>(v + 1);
     LatLng position{rng.Uniform(37.5, 38.5), rng.Uniform(23.5, 24.5)};
@@ -239,8 +241,16 @@ void BM_CollisionObserve(benchmark::State& state) {
     }
     fleet.push_back(std::move(trajectory));
   }
+  return fleet;
+}
+
+// Steady state: each fleet trajectory re-observed once a minute of stream
+// time (shifted to the new anchor time), with a Prune every 64 observations
+// as CollisionActor does.
+void BM_CollisionObserve(benchmark::State& state) {
+  const std::vector<ForecastTrajectory> fleet = ForecastFleet();
   CollisionForecaster forecaster;
-  const TimeMicros spacing = kMicrosPerMinute / kFleet;
+  const TimeMicros spacing = kMicrosPerMinute / kForecastFleet;
   TimeMicros t = 0;
   size_t next = 0;
   int since_prune = 0;
@@ -258,6 +268,31 @@ void BM_CollisionObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CollisionObserve);
+
+// The same fleet and cadence through the traffic-flow raster, with a Prune
+// every 1024 observations as TrafficActor does.
+void BM_TrafficFlowObserve(benchmark::State& state) {
+  const std::vector<ForecastTrajectory> fleet = ForecastFleet();
+  TrafficFlowForecaster forecaster;
+  const TimeMicros spacing = kMicrosPerMinute / kForecastFleet;
+  TimeMicros t = 0;
+  size_t next = 0;
+  int since_prune = 0;
+  ForecastTrajectory observed;
+  for (auto _ : state) {
+    observed = fleet[next];
+    for (ForecastPoint& point : observed.points) point.time += t;
+    forecaster.Observe(observed);
+    if (++since_prune >= 1024) {
+      since_prune = 0;
+      forecaster.Prune(t);
+    }
+    next = (next + 1) % fleet.size();
+    t += spacing;
+  }
+  benchmark::DoNotOptimize(forecaster.TrackedVessels());
+}
+BENCHMARK(BM_TrafficFlowObserve);
 
 // Surveillance-actor pattern: every tracked vessel reports every 10 s of
 // stream time, and Check runs once per 256 reports. The 30-minute silence

@@ -13,18 +13,34 @@ CollisionForecaster::CollisionForecaster()
 CollisionForecaster::CollisionForecaster(const Config& config)
     : config_(config) {}
 
-std::vector<CellId> CollisionForecaster::CoveredCells(
-    const ForecastTrajectory& trajectory) const {
-  std::vector<CellId> cells;
+void CollisionForecaster::CoveredCells(const ForecastTrajectory& trajectory,
+                                       std::vector<CellId>* cells) const {
+  cells->clear();
   for (const ForecastPoint& point : trajectory.points) {
     const CellId cell =
         HexGrid::LatLngToCell(point.position, config_.resolution);
     if (cell == kInvalidCellId) continue;
-    for (CellId c : HexGrid::KRing(cell, 1)) cells.push_back(c);
+    for (CellId c : HexGrid::KRing(cell, 1)) cells->push_back(c);
   }
-  std::sort(cells.begin(), cells.end());
-  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-  return cells;
+  std::sort(cells->begin(), cells->end());
+  cells->erase(std::unique(cells->begin(), cells->end()), cells->end());
+}
+
+void CollisionForecaster::Unregister(CellId cell, Mmsi mmsi) {
+  auto cell_it = cell_vessels_.find(cell);
+  if (cell_it == cell_vessels_.end()) return;
+  std::vector<Mmsi>& bucket = cell_it->second;
+  auto member = std::find(bucket.begin(), bucket.end(), mmsi);
+  if (member != bucket.end()) {
+    *member = bucket.back();
+    bucket.pop_back();
+  }
+  if (bucket.empty()) cell_vessels_.erase(cell_it);
+}
+
+std::vector<Mmsi> CollisionForecaster::CellMembers(CellId cell) const {
+  auto it = cell_vessels_.find(cell);
+  return it == cell_vessels_.end() ? std::vector<Mmsi>() : it->second;
 }
 
 namespace {
@@ -243,41 +259,43 @@ std::vector<MaritimeEvent> CollisionForecaster::Observe(
   std::vector<MaritimeEvent> events;
   if (trajectory.points.empty()) return events;
   const Mmsi mmsi = trajectory.mmsi;
+  Tracked& tracked = trajectories_[mmsi];
 
-  // Remove the vessel's previous cell registrations.
-  if (auto it = vessel_cells_.find(mmsi); it != vessel_cells_.end()) {
-    for (CellId cell : it->second) {
-      auto cell_it = cell_vessels_.find(cell);
-      if (cell_it != cell_vessels_.end()) {
-        cell_it->second.erase(mmsi);
-        if (cell_it->second.empty()) cell_vessels_.erase(cell_it);
-      }
+  // Move the vessel's registrations from its previous cells to the new ones,
+  // touching only the cells it left or entered (both lists are sorted), and
+  // gather every other vessel in the new cells as a candidate.
+  CoveredCells(trajectory, &new_cells_);
+  candidates_.clear();
+  auto old_cell = tracked.cells.cbegin();
+  const auto old_end = tracked.cells.cend();
+  for (CellId cell : new_cells_) {
+    for (; old_cell != old_end && *old_cell < cell; ++old_cell) {
+      Unregister(*old_cell, mmsi);
     }
+    const bool stayed = old_cell != old_end && *old_cell == cell;
+    if (stayed) ++old_cell;
+    std::vector<Mmsi>& bucket = cell_vessels_[cell];
+    for (Mmsi other : bucket) {
+      if (other != mmsi) candidates_.push_back(other);
+    }
+    if (!stayed) bucket.push_back(mmsi);
   }
-
-  // Register the new trajectory.
-  std::vector<CellId> cells = CoveredCells(trajectory);
-  std::unordered_set<Mmsi> candidates;
-  for (CellId cell : cells) {
-    auto& bucket = cell_vessels_[cell];
-    for (Mmsi other : bucket) candidates.insert(other);
-    bucket.insert(mmsi);
-  }
-  const Box box = BoundingBox(trajectory);
-  trajectories_[mmsi] = Tracked{trajectory, box};
-  vessel_cells_[mmsi] = std::move(cells);
+  for (; old_cell != old_end; ++old_cell) Unregister(*old_cell, mmsi);
+  tracked.cells.swap(new_cells_);
+  tracked.trajectory = trajectory;
+  tracked.box = BoundingBox(trajectory);
+  std::sort(candidates_.begin(), candidates_.end());
+  candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
+                    candidates_.end());
 
   const TimeMicros now = trajectory.points.front().time;
-  for (Mmsi other : candidates) {
-    if (other == mmsi) continue;
-    auto other_it = trajectories_.find(other);
-    if (other_it == trajectories_.end()) continue;
+  for (Mmsi other : candidates_) {
+    const Tracked& candidate = trajectories_.at(other);
     TimeMicros meet_time = 0;
     LatLng meet_point;
     double distance = 0.0;
-    if (!Intersects(trajectory, box, other_it->second.trajectory,
-                    other_it->second.box, &meet_time, &meet_point,
-                    &distance)) {
+    if (!Intersects(trajectory, tracked.box, candidate.trajectory,
+                    candidate.box, &meet_time, &meet_point, &distance)) {
       continue;
     }
     const uint64_t key = PairKey(mmsi, other);
@@ -304,18 +322,7 @@ void CollisionForecaster::Prune(TimeMicros now) {
   const TimeMicros cutoff = now - config_.retention;
   for (auto it = trajectories_.begin(); it != trajectories_.end();) {
     if (it->second.trajectory.points.front().time < cutoff) {
-      const Mmsi mmsi = it->first;
-      if (auto cells_it = vessel_cells_.find(mmsi);
-          cells_it != vessel_cells_.end()) {
-        for (CellId cell : cells_it->second) {
-          auto cell_it = cell_vessels_.find(cell);
-          if (cell_it != cell_vessels_.end()) {
-            cell_it->second.erase(mmsi);
-            if (cell_it->second.empty()) cell_vessels_.erase(cell_it);
-          }
-        }
-        vessel_cells_.erase(cells_it);
-      }
+      for (CellId cell : it->second.cells) Unregister(cell, it->first);
       it = trajectories_.erase(it);
     } else {
       ++it;

@@ -2,7 +2,6 @@
 #define MARLIN_EVENTS_COLLISION_H_
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "events/event_types.h"
@@ -75,6 +74,10 @@ class CollisionForecaster {
   size_t TrackedVessels() const { return trajectories_.size(); }
   /// Pairs whose alert cooldown is remembered.
   size_t CooldownEntries() const { return last_alert_.size(); }
+  /// Cells with at least one registered vessel in the candidate index.
+  size_t IndexedCells() const { return cell_vessels_.size(); }
+  /// Vessels registered in `cell`, in no particular order.
+  std::vector<Mmsi> CellMembers(CellId cell) const;
 
  private:
   /// Latitude/longitude extent of a trajectory's points. Linear
@@ -88,6 +91,8 @@ class CollisionForecaster {
   struct Tracked {
     ForecastTrajectory trajectory;
     Box box;
+    /// CoveredCells(trajectory): the cells this vessel is registered in.
+    std::vector<CellId> cells;
   };
 
   static Box BoundingBox(const ForecastTrajectory& trajectory);
@@ -95,8 +100,13 @@ class CollisionForecaster {
   /// `a` and any point of `b`.
   static double BoxGapMeters(const Box& a, const Box& b);
 
-  /// Cells covered by a trajectory: each point's cell plus its neighbours.
-  std::vector<CellId> CoveredCells(const ForecastTrajectory& trajectory) const;
+  /// Cells covered by a trajectory, sorted and unique: each point's cell
+  /// plus its neighbours. Overwrites `cells`.
+  void CoveredCells(const ForecastTrajectory& trajectory,
+                    std::vector<CellId>* cells) const;
+
+  /// Drops `mmsi` from the bucket of `cell`, and the bucket once empty.
+  void Unregister(CellId cell, Mmsi mmsi);
 
   /// Intersects with precomputed bounding boxes: pairs whose boxes are
   /// provably farther apart than the spatial threshold skip sampling.
@@ -107,9 +117,14 @@ class CollisionForecaster {
 
   Config config_;
   std::unordered_map<Mmsi, Tracked> trajectories_;
-  std::unordered_map<Mmsi, std::vector<CellId>> vessel_cells_;
-  std::unordered_map<CellId, std::unordered_set<Mmsi>> cell_vessels_;
+  /// Candidate index: the vessels whose covered cells include each cell.
+  /// Always equal to the index rebuilt from `trajectories_`; no bucket is
+  /// empty.
+  std::unordered_map<CellId, std::vector<Mmsi>> cell_vessels_;
   std::unordered_map<uint64_t, TimeMicros> last_alert_;
+  // Scratch reused across Observe calls.
+  std::vector<CellId> new_cells_;
+  std::vector<Mmsi> candidates_;
 };
 
 }  // namespace marlin

@@ -14,31 +14,28 @@ void TrafficFlowForecaster::Observe(const ForecastTrajectory& trajectory) {
   if (trajectory.points.size() < static_cast<size_t>(kSvrfOutputSteps) + 1) {
     return;
   }
-  // Remove the vessel's previous contribution.
-  auto it = per_vessel_.find(trajectory.mmsi);
-  if (it != per_vessel_.end()) {
-    for (int step = 0; step < kSvrfOutputSteps; ++step) {
-      const CellId cell = it->second.cells[static_cast<size_t>(step)];
-      auto& bucket = counts_[static_cast<size_t>(step)];
-      auto cell_it = bucket.find(cell);
-      if (cell_it != bucket.end() && --cell_it->second <= 0) {
-        bucket.erase(cell_it);
-      }
-    }
-  }
-  VesselContribution contribution;
+  static_assert(kInvalidCellId == CellId{});
+  VesselContribution& contribution = per_vessel_[trajectory.mmsi];
   contribution.anchor_time = trajectory.points.front().time;
-  contribution.cells.resize(kSvrfOutputSteps);
+  // Only steps whose cell changed move a count.
   for (int step = 0; step < kSvrfOutputSteps; ++step) {
     const CellId cell = HexGrid::LatLngToCell(
         trajectory.points[static_cast<size_t>(step) + 1].position,
         config_.resolution);
-    contribution.cells[static_cast<size_t>(step)] = cell;
-    if (cell != kInvalidCellId) {
-      ++counts_[static_cast<size_t>(step)][cell];
-    }
+    CellId& previous = contribution.cells[static_cast<size_t>(step)];
+    if (cell == previous) continue;
+    if (previous != kInvalidCellId) Decrement(step, previous);
+    if (cell != kInvalidCellId) ++counts_[static_cast<size_t>(step)][cell];
+    previous = cell;
   }
-  per_vessel_[trajectory.mmsi] = std::move(contribution);
+}
+
+void TrafficFlowForecaster::Decrement(int step, CellId cell) {
+  auto& bucket = counts_[static_cast<size_t>(step)];
+  auto cell_it = bucket.find(cell);
+  if (cell_it != bucket.end() && --cell_it->second <= 0) {
+    bucket.erase(cell_it);
+  }
 }
 
 std::vector<FlowCell> TrafficFlowForecaster::Flow(int step) const {
@@ -66,11 +63,7 @@ void TrafficFlowForecaster::Prune(TimeMicros now) {
     if (it->second.anchor_time < cutoff) {
       for (int step = 0; step < kSvrfOutputSteps; ++step) {
         const CellId cell = it->second.cells[static_cast<size_t>(step)];
-        auto& bucket = counts_[static_cast<size_t>(step)];
-        auto cell_it = bucket.find(cell);
-        if (cell_it != bucket.end() && --cell_it->second <= 0) {
-          bucket.erase(cell_it);
-        }
+        if (cell != kInvalidCellId) Decrement(step, cell);
       }
       it = per_vessel_.erase(it);
     } else {

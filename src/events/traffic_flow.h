@@ -1,6 +1,7 @@
 #ifndef MARLIN_EVENTS_TRAFFIC_FLOW_H_
 #define MARLIN_EVENTS_TRAFFIC_FLOW_H_
 
+#include <array>
 #include <deque>
 #include <map>
 #include <unordered_map>
@@ -58,9 +59,13 @@ class TrafficFlowForecaster {
  private:
   struct VesselContribution {
     TimeMicros anchor_time = 0;
-    // Cell occupied at each horizon step (index 0 = t+5min).
-    std::vector<CellId> cells;
+    // Cell occupied at each horizon step (index 0 = t+5min); value
+    // initialisation makes every step kInvalidCellId.
+    std::array<CellId, kSvrfOutputSteps> cells{};
   };
+
+  /// Removes one vessel from counts_[step][cell], dropping the entry at 0.
+  void Decrement(int step, CellId cell);
 
   Config config_;
   std::unordered_map<Mmsi, VesselContribution> per_vessel_;

@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "events/collision.h"
@@ -13,6 +15,7 @@
 #include "events/proximity.h"
 #include "events/switch_off.h"
 #include "events/traffic_flow.h"
+#include "hexgrid/hexgrid.h"
 #include "sim/proximity_dataset.h"
 #include "util/rng.h"
 #include "vrf/linear_model.h"
@@ -834,6 +837,537 @@ TEST(TrafficFlowTest, PruneRemovesStaleVessels) {
   forecaster.Prune(60 * kMicrosPerMinute);
   EXPECT_EQ(forecaster.TrackedVessels(), 0u);
   EXPECT_TRUE(forecaster.Flow(1).empty());
+}
+
+// ------------------------------------------- Incremental cell index oracles
+//
+// CollisionForecaster and TrafficFlowForecaster update their cell indexes by
+// the difference between a vessel's previous and new trajectory. These
+// references are the remove-all/re-add versions they replaced; the detectors
+// must report the same events, tracked vessels and flow counts.
+
+/// Cells a collision trajectory covers: each valid point's cell plus its
+/// neighbours, sorted and unique.
+std::vector<CellId> RefCoveredCells(const ForecastTrajectory& trajectory,
+                                    int resolution) {
+  std::vector<CellId> cells;
+  for (const ForecastPoint& point : trajectory.points) {
+    const CellId cell = HexGrid::LatLngToCell(point.position, resolution);
+    if (cell == kInvalidCellId) continue;
+    for (CellId c : HexGrid::KRing(cell, 1)) cells.push_back(c);
+  }
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  return cells;
+}
+
+/// CollisionForecaster that drops a vessel's whole cell registration and
+/// re-inserts the new one on every Observe, with hash-set candidates.
+class RefCollision {
+ public:
+  explicit RefCollision(const CollisionForecaster::Config& config)
+      : config_(config), geometry_(config) {}
+
+  std::vector<MaritimeEvent> Observe(const ForecastTrajectory& trajectory) {
+    std::vector<MaritimeEvent> events;
+    if (trajectory.points.empty()) return events;
+    const Mmsi mmsi = trajectory.mmsi;
+    if (auto it = vessel_cells_.find(mmsi); it != vessel_cells_.end()) {
+      Unregister(mmsi, it->second);
+    }
+    std::vector<CellId> cells =
+        RefCoveredCells(trajectory, config_.resolution);
+    std::unordered_set<Mmsi> candidates;
+    for (CellId cell : cells) {
+      auto& bucket = cell_vessels_[cell];
+      for (Mmsi other : bucket) candidates.insert(other);
+      bucket.insert(mmsi);
+    }
+    trajectories_[mmsi] = trajectory;
+    vessel_cells_[mmsi] = std::move(cells);
+
+    const TimeMicros now = trajectory.points.front().time;
+    for (Mmsi other : candidates) {
+      if (other == mmsi) continue;
+      auto other_it = trajectories_.find(other);
+      if (other_it == trajectories_.end()) continue;
+      TimeMicros meet_time = 0;
+      LatLng meet_point;
+      double distance = 0.0;
+      if (!geometry_.Intersects(trajectory, other_it->second, &meet_time,
+                                &meet_point, &distance)) {
+        continue;
+      }
+      const uint64_t key = PairKey(mmsi, other);
+      auto last_it = last_alert_.find(key);
+      if (last_it != last_alert_.end() &&
+          now - last_it->second < config_.pair_cooldown) {
+        continue;
+      }
+      last_alert_[key] = now;
+      MaritimeEvent event;
+      event.type = EventType::kCollisionForecast;
+      event.vessel_a = mmsi;
+      event.vessel_b = other;
+      event.detected_at = now;
+      event.event_time = meet_time;
+      event.location = meet_point;
+      event.distance_m = distance;
+      events.push_back(event);
+    }
+    return events;
+  }
+
+  void Prune(TimeMicros now) {
+    const TimeMicros cutoff = now - config_.retention;
+    for (auto it = trajectories_.begin(); it != trajectories_.end();) {
+      if (it->second.points.front().time < cutoff) {
+        if (auto cells_it = vessel_cells_.find(it->first);
+            cells_it != vessel_cells_.end()) {
+          Unregister(it->first, cells_it->second);
+          vessel_cells_.erase(cells_it);
+        }
+        it = trajectories_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    const TimeMicros alert_cutoff = cutoff - config_.pair_cooldown;
+    std::erase_if(last_alert_, [alert_cutoff](const auto& entry) {
+      return entry.second < alert_cutoff;
+    });
+  }
+
+  size_t TrackedVessels() const { return trajectories_.size(); }
+
+  /// The cell index rebuilt from the live trajectories: each covered cell's
+  /// vessels, sorted.
+  std::map<CellId, std::vector<Mmsi>> RebuiltIndex() const {
+    std::map<CellId, std::vector<Mmsi>> index;
+    for (const auto& [mmsi, trajectory] : trajectories_) {
+      for (CellId cell : RefCoveredCells(trajectory, config_.resolution)) {
+        index[cell].push_back(mmsi);
+      }
+    }
+    for (auto& [cell, members] : index) {
+      std::sort(members.begin(), members.end());
+    }
+    return index;
+  }
+
+ private:
+  void Unregister(Mmsi mmsi, const std::vector<CellId>& cells) {
+    for (CellId cell : cells) {
+      auto cell_it = cell_vessels_.find(cell);
+      if (cell_it != cell_vessels_.end()) {
+        cell_it->second.erase(mmsi);
+        if (cell_it->second.empty()) cell_vessels_.erase(cell_it);
+      }
+    }
+  }
+
+  CollisionForecaster::Config config_;
+  CollisionForecaster geometry_;  // Only its Intersects is used.
+  std::unordered_map<Mmsi, ForecastTrajectory> trajectories_;
+  std::unordered_map<Mmsi, std::vector<CellId>> vessel_cells_;
+  std::unordered_map<CellId, std::unordered_set<Mmsi>> cell_vessels_;
+  std::unordered_map<uint64_t, TimeMicros> last_alert_;
+};
+
+/// TrafficFlowForecaster that removes every step of a vessel's previous
+/// contribution and re-adds all six on every Observe.
+class RefTrafficFlow {
+ public:
+  explicit RefTrafficFlow(const TrafficFlowForecaster::Config& config)
+      : config_(config), counts_(kSvrfOutputSteps) {}
+
+  void Observe(const ForecastTrajectory& trajectory) {
+    if (trajectory.points.size() < static_cast<size_t>(kSvrfOutputSteps) + 1) {
+      return;
+    }
+    if (auto it = per_vessel_.find(trajectory.mmsi); it != per_vessel_.end()) {
+      Remove(it->second.cells);
+    }
+    Contribution contribution;
+    contribution.anchor_time = trajectory.points.front().time;
+    for (int step = 0; step < kSvrfOutputSteps; ++step) {
+      const CellId cell = HexGrid::LatLngToCell(
+          trajectory.points[static_cast<size_t>(step) + 1].position,
+          config_.resolution);
+      contribution.cells.push_back(cell);
+      if (cell != kInvalidCellId) ++counts_[static_cast<size_t>(step)][cell];
+    }
+    per_vessel_[trajectory.mmsi] = std::move(contribution);
+  }
+
+  void Prune(TimeMicros now) {
+    const TimeMicros cutoff = now - config_.retention;
+    for (auto it = per_vessel_.begin(); it != per_vessel_.end();) {
+      if (it->second.anchor_time < cutoff) {
+        Remove(it->second.cells);
+        it = per_vessel_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  /// Non-zero counts of horizon step 1..6, sorted by cell.
+  std::vector<std::pair<CellId, int>> Flow(int step) const {
+    const auto& bucket = counts_[static_cast<size_t>(step) - 1];
+    std::vector<std::pair<CellId, int>> out(bucket.begin(), bucket.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  size_t TrackedVessels() const { return per_vessel_.size(); }
+
+ private:
+  struct Contribution {
+    TimeMicros anchor_time = 0;
+    std::vector<CellId> cells;
+  };
+
+  void Remove(const std::vector<CellId>& cells) {
+    for (int step = 0; step < kSvrfOutputSteps; ++step) {
+      auto& bucket = counts_[static_cast<size_t>(step)];
+      auto cell_it = bucket.find(cells[static_cast<size_t>(step)]);
+      if (cell_it != bucket.end() && --cell_it->second <= 0) {
+        bucket.erase(cell_it);
+      }
+    }
+  }
+
+  TrafficFlowForecaster::Config config_;
+  std::unordered_map<Mmsi, Contribution> per_vessel_;
+  std::vector<std::unordered_map<CellId, int>> counts_;
+};
+
+std::vector<std::pair<CellId, int>> SortedFlow(
+    const TrafficFlowForecaster& forecaster, int step) {
+  std::vector<std::pair<CellId, int>> out;
+  for (const FlowCell& cell : forecaster.Flow(step)) {
+    out.emplace_back(cell.cell, cell.count);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// A random forecast stream over a 15 km square, a few resolution-7 cells
+/// wide: a pool of 40 vessel slots whose MMSIs repeat, depart and sometimes
+/// return after a long silence; a forecast every 0-20 s of stream time from
+/// moving positions, with occasional points that map to kInvalidCellId and
+/// trajectories shorter than the seven forecast points.
+class ForecastStream {
+ public:
+  explicit ForecastStream(uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < 40; ++i) slots_.push_back(NewVessel());
+  }
+
+  ForecastTrajectory Next() {
+    t_ += rng_.UniformInt(0, 20 * kMicrosPerSecond);
+    Vessel& vessel = slots_[rng_.UniformInt(uint64_t{slots_.size()})];
+    const double u = rng_.NextDouble();
+    if (u < 0.01) {
+      departed_.push_back(vessel.mmsi);
+      vessel = NewVessel();
+    } else if (u < 0.02 && !departed_.empty()) {
+      departed_.push_back(vessel.mmsi);
+      vessel = NewVessel();
+      vessel.mmsi = departed_[rng_.UniformInt(uint64_t{departed_.size()})];
+    }
+    // Advance the vessel to now; it turns a little between reports.
+    const double dt_s =
+        static_cast<double>(t_ - vessel.last_time) / kMicrosPerSecond;
+    vessel.position = DestinationPoint(
+        vessel.position, vessel.cog, vessel.sog * kKnotsToMps * dt_s);
+    vessel.last_time = t_;
+    vessel.cog += rng_.Normal() * 10.0;
+    if (!InBox(vessel.position)) {
+      vessel.cog = InitialBearingDeg(vessel.position, LatLng{38.07, 24.085});
+    }
+
+    ForecastTrajectory trajectory =
+        MakeTrajectory(vessel.mmsi, t_, vessel.position.lat_deg,
+                       vessel.position.lon_deg, vessel.cog, vessel.sog);
+    const double v = rng_.NextDouble();
+    if (v < 0.05) {
+      trajectory.points[rng_.UniformInt(uint64_t{trajectory.points.size()})]
+          .position.lat_deg = std::nan("");
+    } else if (v < 0.07) {
+      for (ForecastPoint& point : trajectory.points) {
+        point.position.lon_deg = std::nan("");
+      }
+    } else if (v < 0.10) {
+      trajectory.points.resize(rng_.UniformInt(uint64_t{kSvrfOutputSteps}));
+    }
+    return trajectory;
+  }
+
+  TimeMicros now() const { return t_; }
+  Rng* rng() { return &rng_; }
+
+ private:
+  struct Vessel {
+    Mmsi mmsi = 0;
+    LatLng position;
+    double cog = 0.0;
+    double sog = 0.0;
+    TimeMicros last_time = 0;
+  };
+
+  static bool InBox(const LatLng& p) {
+    return p.lat_deg >= 38.0 && p.lat_deg <= 38.135 && p.lon_deg >= 24.0 &&
+           p.lon_deg <= 24.17;
+  }
+
+  Vessel NewVessel() {
+    Vessel vessel;
+    vessel.mmsi = next_mmsi_++;
+    vessel.position =
+        LatLng{rng_.Uniform(38.0, 38.135), rng_.Uniform(24.0, 24.17)};
+    vessel.cog = rng_.Uniform(0.0, 360.0);
+    vessel.sog = rng_.Uniform(5.0, 30.0);
+    vessel.last_time = t_;
+    return vessel;
+  }
+
+  Rng rng_;
+  TimeMicros t_ = 1'700'000'000LL * kMicrosPerSecond;
+  Mmsi next_mmsi_ = 200'000'001;
+  std::vector<Vessel> slots_;
+  std::vector<Mmsi> departed_;
+};
+
+void ExpectSameEvent(const MaritimeEvent& got, const MaritimeEvent& want) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.vessel_a, want.vessel_a);
+  EXPECT_EQ(got.vessel_b, want.vessel_b);
+  EXPECT_EQ(got.detected_at, want.detected_at);
+  EXPECT_EQ(got.event_time, want.event_time);
+  EXPECT_TRUE(SameBits(got.location, want.location));
+  EXPECT_TRUE(SameBits(got.distance_m, want.distance_m));
+}
+
+/// The forecaster's cell index equals the one rebuilt from the reference's
+/// live trajectories: same cells, same members, no empty bucket.
+void ExpectIndexRebuilt(const CollisionForecaster& forecaster,
+                        const RefCollision& ref) {
+  const auto index = ref.RebuiltIndex();
+  ASSERT_EQ(forecaster.IndexedCells(), index.size());
+  for (const auto& [cell, members] : index) {
+    std::vector<Mmsi> got = forecaster.CellMembers(cell);
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, members) << "cell " << cell;
+  }
+}
+
+TEST(IncrementalIndexOracleTest, CollisionMatchesRemoveAllReAdd) {
+  for (const TimeMicros threshold :
+       {2 * kMicrosPerMinute, 5 * kMicrosPerMinute}) {
+    CollisionForecaster::Config config;
+    config.temporal_threshold = threshold;
+    CollisionForecaster forecaster(config);
+    RefCollision ref(config);
+    ForecastStream stream(0x1DE7 + static_cast<uint64_t>(threshold));
+    std::map<Mmsi, std::vector<CellId>> last_cells;
+    std::map<uint64_t, int> alerts_per_pair;
+    int moved = 0, events = 0, suppressed = 0;
+    for (int i = 0; i < 4000; ++i) {
+      if (stream.rng()->NextDouble() < 0.03) {
+        forecaster.Prune(stream.now());
+        ref.Prune(stream.now());
+      } else {
+        const ForecastTrajectory trajectory = stream.Next();
+        if (!trajectory.points.empty()) {
+          auto& cells = last_cells[trajectory.mmsi];
+          auto covered = RefCoveredCells(trajectory, config.resolution);
+          if (!cells.empty() && !covered.empty() && covered != cells) ++moved;
+          cells = std::move(covered);
+        }
+        const auto got = forecaster.Observe(trajectory);
+        auto want = ref.Observe(trajectory);
+        std::sort(want.begin(), want.end(),
+                  [](const MaritimeEvent& x, const MaritimeEvent& y) {
+                    return x.vessel_b < y.vessel_b;
+                  });
+        ASSERT_EQ(got.size(), want.size()) << "call " << i;
+        for (size_t k = 0; k < got.size(); ++k) {
+          if (k > 0) {
+            EXPECT_LT(got[k - 1].vessel_b, got[k].vessel_b);
+          }
+          ExpectSameEvent(got[k], want[k]);
+          ++alerts_per_pair[PairKey(got[k].vessel_a, got[k].vessel_b)];
+        }
+        events += static_cast<int>(got.size());
+      }
+      ASSERT_EQ(forecaster.TrackedVessels(), ref.TrackedVessels());
+      ExpectIndexRebuilt(forecaster, ref);
+      if (::testing::Test::HasFailure()) FAIL() << "first mismatch at " << i;
+    }
+    for (const auto& [pair, alerts] : alerts_per_pair) {
+      if (alerts > 1) ++suppressed;
+    }
+    // The stream exercises what the index diff must get right: vessels that
+    // change cells, alerts, and pairs that alert again after a cooldown.
+    EXPECT_GT(moved, 500);
+    EXPECT_GT(events, 50);
+    EXPECT_GT(suppressed, 5);
+  }
+}
+
+TEST(IncrementalIndexOracleTest, TrafficFlowMatchesRemoveAllReAdd) {
+  TrafficFlowForecaster::Config config;
+  TrafficFlowForecaster forecaster(config);
+  RefTrafficFlow ref(config);
+  ForecastStream stream(0x7AFF1C);
+  std::map<Mmsi, std::vector<CellId>> last_cells;
+  int changed_steps = 0, kept_steps = 0;
+  for (int i = 0; i < 4000; ++i) {
+    if (stream.rng()->NextDouble() < 0.03) {
+      forecaster.Prune(stream.now());
+      ref.Prune(stream.now());
+    } else {
+      const ForecastTrajectory trajectory = stream.Next();
+      if (trajectory.points.size() > static_cast<size_t>(kSvrfOutputSteps)) {
+        std::vector<CellId> cells;
+        for (int step = 1; step <= kSvrfOutputSteps; ++step) {
+          cells.push_back(HexGrid::LatLngToCell(
+              trajectory.points[static_cast<size_t>(step)].position,
+              config.resolution));
+        }
+        auto& last = last_cells[trajectory.mmsi];
+        for (size_t s = 0; s < last.size(); ++s) {
+          ++(last[s] == cells[s] ? kept_steps : changed_steps);
+        }
+        last = std::move(cells);
+      }
+      forecaster.Observe(trajectory);
+      ref.Observe(trajectory);
+    }
+    ASSERT_EQ(forecaster.TrackedVessels(), ref.TrackedVessels());
+    for (int step = 1; step <= kSvrfOutputSteps; ++step) {
+      ASSERT_EQ(SortedFlow(forecaster, step), ref.Flow(step))
+          << "call " << i << " step " << step;
+    }
+  }
+  EXPECT_GT(changed_steps, 1000);
+  EXPECT_GT(kept_steps, 1000);
+}
+
+// ------------------------------------------------ Retention plateaus
+//
+// A day of traffic in which vessels arrive, forecast once a minute for
+// 20-90 minutes and depart for good, pruned the way the actors prune. The
+// detectors' state must stop growing once arrivals and departures balance,
+// while the number of distinct vessels keeps climbing.
+
+struct Voyage {
+  Mmsi mmsi = 0;
+  LatLng position;
+  double cog = 0.0;
+  double sog = 0.0;
+  TimeMicros depart = 0;
+};
+
+Voyage NewVoyage(Rng* rng, Mmsi mmsi, TimeMicros now) {
+  Voyage voyage;
+  voyage.mmsi = mmsi;
+  voyage.position = LatLng{rng->Uniform(37.5, 38.5), rng->Uniform(23.5, 24.5)};
+  voyage.cog = rng->Uniform(0.0, 360.0);
+  voyage.sog = rng->Uniform(5.0, 20.0);
+  voyage.depart = now + rng->UniformInt(20 * kMicrosPerMinute,
+                                        90 * kMicrosPerMinute);
+  return voyage;
+}
+
+/// Calls `visit(trajectory)` for each forecast of the day and
+/// `sample(first_half)` once per stream minute.
+template <typename Visit, typename Sample>
+void RunVoyages(uint64_t seed, Visit visit, Sample sample, Mmsi* arrivals) {
+  Rng rng(seed);
+  std::vector<Voyage> fleet;
+  Mmsi next_mmsi = 1;
+  for (int i = 0; i < 60; ++i) fleet.push_back(NewVoyage(&rng, next_mmsi++, 0));
+  const TimeMicros day = 24 * 60 * kMicrosPerMinute;
+  for (TimeMicros t = 0; t < day; t += kMicrosPerMinute) {
+    for (Voyage& voyage : fleet) {
+      if (t >= voyage.depart) voyage = NewVoyage(&rng, next_mmsi++, t);
+      visit(MakeTrajectory(voyage.mmsi, t, voyage.position.lat_deg,
+                           voyage.position.lon_deg, voyage.cog, voyage.sog));
+      voyage.position = DestinationPoint(voyage.position, voyage.cog,
+                                         voyage.sog * kKnotsToMps * 60.0);
+    }
+    sample(t < day / 2);
+  }
+  *arrivals = next_mmsi - 1;
+}
+
+/// Peak of one gauge in each half of the day.
+struct Peaks {
+  size_t early = 0;
+  size_t late = 0;
+  void Sample(bool first_half, size_t value) {
+    size_t& peak = first_half ? early : late;
+    peak = std::max(peak, value);
+  }
+};
+
+void ExpectPlateau(const Peaks& peaks, Mmsi arrivals, const char* gauge) {
+  EXPECT_GT(peaks.late, 0u) << gauge;
+  EXPECT_LE(peaks.late, peaks.early + peaks.early / 4) << gauge;
+  // The gauge is bounded by the live fleet, not by every vessel seen.
+  EXPECT_GT(arrivals, 4 * peaks.late) << gauge;
+}
+
+TEST(RetentionPlateauTest, CollisionTrajectoriesAndIndexPlateau) {
+  CollisionForecaster forecaster;
+  int since_prune = 0;
+  Peaks tracked, cells;
+  Mmsi arrivals = 0;
+  RunVoyages(
+      0x9A7E,
+      [&](const ForecastTrajectory& trajectory) {
+        forecaster.Observe(trajectory);
+        if (++since_prune >= 64) {  // as CollisionActor
+          since_prune = 0;
+          forecaster.Prune(trajectory.points.front().time);
+        }
+      },
+      [&](bool first_half) {
+        tracked.Sample(first_half, forecaster.TrackedVessels());
+        cells.Sample(first_half, forecaster.IndexedCells());
+      },
+      &arrivals);
+  ExpectPlateau(tracked, arrivals, "tracked vessels");
+  ExpectPlateau(cells, arrivals, "indexed cells");
+}
+
+TEST(RetentionPlateauTest, TrafficFlowVesselsAndCountsPlateau) {
+  TrafficFlowForecaster forecaster;
+  int since_prune = 0;
+  Peaks tracked, counted;
+  Mmsi arrivals = 0;
+  RunVoyages(
+      0x7AF1,
+      [&](const ForecastTrajectory& trajectory) {
+        forecaster.Observe(trajectory);
+        if (++since_prune >= 1024) {  // as TrafficActor
+          since_prune = 0;
+          forecaster.Prune(trajectory.points.front().time);
+        }
+      },
+      [&](bool first_half) {
+        size_t cells = 0;
+        for (int step = 1; step <= kSvrfOutputSteps; ++step) {
+          cells += forecaster.Flow(step).size();
+        }
+        tracked.Sample(first_half, forecaster.TrackedVessels());
+        counted.Sample(first_half, cells);
+      },
+      &arrivals);
+  ExpectPlateau(tracked, arrivals, "tracked vessels");
+  ExpectPlateau(counted, arrivals, "non-zero count cells");
 }
 
 TEST(DirectTrafficTest, MovingAverageOverWindows) {
